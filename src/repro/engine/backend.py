@@ -18,13 +18,12 @@ registered:
   numpy route silently serves instead. The win is *fusion*: one C pass
   performs the ``2·d`` row gathers, the packed ANDs, the live-mask AND
   and the popcount that numpy executes as separate full-width
-  temporaries. The hot kernels are compiled as scalar + SIMD variant
-  families (AVX2/AVX-512 on x86-64, NEON on aarch64) dispatched by
-  runtime CPU-feature detection from one baseline-ISA ``.so``, and can
-  split a pass over an in-process pthread pool
-  (``REPRO_NATIVE_THREADS``, :func:`set_native_threads`) — row blocks
-  write disjoint output ranges, so every route × thread-count
-  combination stays bit-identical.
+  temporaries. Each hot kernel is one portable C function; on x86-64
+  the compiler clones it into baseline and AVX2 bodies and the loader
+  picks one for the CPU, so one ``.so`` serves every host. A pass can
+  split over an in-process pthread pool (``REPRO_NATIVE_THREADS``,
+  :func:`set_native_threads`) — row blocks write disjoint output ranges,
+  so every thread count stays bit-identical.
 
 Both backends are bit-identical by construction (the parity suite in
 ``tests/test_engine_backend.py`` enforces it), so selection —
@@ -79,10 +78,7 @@ __all__ = [
     "native_available",
     "native_build_error",
     "native_build_mode",
-    "simd_routes",
     "simd_route",
-    "set_simd_route",
-    "use_simd_route",
     "native_threads",
     "set_native_threads",
     "use_native_threads",
@@ -103,15 +99,16 @@ _DIRECTIONS = {"dominated": 0, "dominator": 1}
 # Embedded native kernels
 # ---------------------------------------------------------------------------
 
-#: The entire native kernel library. Plain C99 + GCC builtins/intrinsics,
-#: no headers beyond the hosted baseline, so any system compiler can build
-#: it. Each hot kernel is a *family*: a scalar variant that always
-#: compiles, plus AVX2/AVX-512 (x86-64) or NEON (aarch64) variants behind
-#: per-function target attributes, selected at runtime from one .so via
-#: ``__builtin_cpu_supports`` — so the binary is baseline-ISA portable and
-#: the scalar twin is genuinely scalar (the parity reference).
-#: ``-DREPRO_NO_SIMD`` / ``-DREPRO_NO_THREADS`` gate the vector variants
-#: and the pthread pool out for compilers that cannot build them.
+#: The entire native kernel library: plain C99 plus GCC builtins and
+#: attributes, so any system compiler can build it. Each hot kernel family
+#: is one portable function compiled at ``-O3`` with the vectoriser on. On
+#: x86-64 GNU toolchains ``target_clones`` additionally emits an AVX2 body
+#: next to the baseline one and an ifunc resolver picks between them at
+#: load time, so the cached ``.so`` stays baseline-ISA portable across
+#: hosts that share a cache (hence no ``-march=native``: the cache key
+#: does not include the CPU). ``-DREPRO_NO_CLONES`` /
+#: ``-DREPRO_NO_THREADS`` gate the clones and the pthread pool out for
+#: toolchains that cannot build them.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -120,24 +117,19 @@ _C_SOURCE = r"""
 #include <pthread.h>
 #endif
 
-#if !defined(REPRO_NO_SIMD) && defined(__x86_64__)
-#define REPRO_SIMD_X86 1
-#include <immintrin.h>
-#endif
-#if !defined(REPRO_NO_SIMD) && defined(__aarch64__)
-#define REPRO_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 #define API __attribute__((visibility("default")))
 #define REPRO_MAX_THREADS 16
 
-/* SIMD route identifiers shared with the Python loader: 0 = scalar,
- * 1 = AVX2, 2 = AVX-512 (F+BW+VPOPCNTDQ), 3 = NEON.  NEON is baseline
- * on aarch64, so route 3 is unconditionally supported there. */
+#if !defined(REPRO_NO_CLONES) && defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_CLONES 1
+#define KERNEL static __attribute__((target_clones("default", "avx2")))
+#else
+#define KERNEL static
+#endif
 
-/* SWAR popcount: branch-free and ISA-baseline, so the scalar variants
- * stay honest on CPUs (and builds) without a POPCNT instruction. */
+/* SWAR popcount: branch-free and ISA-baseline, so the default clone and
+ * clone-free builds need no libgcc call per word; GCC folds it to the
+ * POPCNT instruction in the avx2 clone. */
 static inline int64_t popcnt64(uint64_t x) {
     x = x - ((x >> 1) & 0x5555555555555555ULL);
     x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
@@ -145,18 +137,9 @@ static inline int64_t popcnt64(uint64_t x) {
     return (int64_t)((x * 0x0101010101010101ULL) >> 56);
 }
 
-/* ------------------------------------------------------------------ */
-/* popcount_rows variants: per-row popcount of a (b, W) uint64 matrix. */
-/* ------------------------------------------------------------------ */
-
-/* Scalar twins carry no-tree-vectorize: the compiler must not sneak
- * auto-vectorised SSE2/NEON into the route that forced-scalar parity
- * legs and old CPUs rely on — which ISA runs is the dispatcher's
- * decision, not the compiler's, so the scalar reference behaves the
- * same whatever toolchain produced the .so. */
-__attribute__((optimize("no-tree-vectorize")))
-static void popcount_rows_scalar(const uint64_t *words, int64_t b, int64_t w,
-                                 int64_t *out) {
+/* Per-row popcount of a (b, W) uint64 matrix. */
+KERNEL void popcount_rows(const uint64_t *words, int64_t b, int64_t w,
+                          int64_t *out) {
     for (int64_t i = 0; i < b; ++i) {
         const uint64_t *row = words + i * w;
         int64_t acc = 0;
@@ -166,107 +149,15 @@ static void popcount_rows_scalar(const uint64_t *words, int64_t b, int64_t w,
     }
 }
 
-#if defined(REPRO_SIMD_X86)
-
-/* AVX2 has no vector popcount; use the nibble-LUT (pshufb) scheme with
- * a per-qword horizontal byte sum via SAD. */
-__attribute__((target("avx2")))
-static inline __m256i avx2_popcnt_epi64(__m256i v) {
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    __m256i lo = _mm256_and_si256(v, low);
-    __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-    __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                  _mm256_shuffle_epi8(lut, hi));
-    return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2")))
-static inline int64_t avx2_hsum_epi64(__m256i v) {
-    __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    return (int64_t)(_mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1));
-}
-
-__attribute__((target("avx2")))
-static void popcount_rows_avx2(const uint64_t *words, int64_t b, int64_t w,
-                               int64_t *out) {
-    for (int64_t i = 0; i < b; ++i) {
-        const uint64_t *row = words + i * w;
-        __m256i vacc = _mm256_setzero_si256();
-        int64_t j = 0;
-        for (; j + 4 <= w; j += 4)
-            vacc = _mm256_add_epi64(vacc, avx2_popcnt_epi64(
-                _mm256_loadu_si256((const __m256i *)(row + j))));
-        int64_t acc = avx2_hsum_epi64(vacc);
-        for (; j < w; ++j)
-            acc += popcnt64(row[j]);
-        out[i] = acc;
-    }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vpopcntdq")))
-static void popcount_rows_avx512(const uint64_t *words, int64_t b, int64_t w,
-                                 int64_t *out) {
-    for (int64_t i = 0; i < b; ++i) {
-        const uint64_t *row = words + i * w;
-        __m512i vacc = _mm512_setzero_si512();
-        int64_t j = 0;
-        for (; j + 8 <= w; j += 8)
-            vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(
-                _mm512_loadu_si512((const void *)(row + j))));
-        if (j < w) {
-            __mmask8 m = (__mmask8)((1u << (w - j)) - 1);
-            vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(
-                _mm512_maskz_loadu_epi64(m, (const void *)(row + j))));
-        }
-        out[i] = _mm512_reduce_add_epi64(vacc);
-    }
-}
-
-#endif /* REPRO_SIMD_X86 */
-
-#if defined(REPRO_SIMD_NEON)
-
-static inline uint64x2_t neon_popcnt_u64(uint64x2_t v) {
-    uint8x16_t cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-    return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt)));
-}
-
-static void popcount_rows_neon(const uint64_t *words, int64_t b, int64_t w,
-                               int64_t *out) {
-    for (int64_t i = 0; i < b; ++i) {
-        const uint64_t *row = words + i * w;
-        uint64x2_t vacc = vdupq_n_u64(0);
-        int64_t j = 0;
-        for (; j + 2 <= w; j += 2)
-            vacc = vaddq_u64(vacc, neon_popcnt_u64(vld1q_u64(row + j)));
-        int64_t acc = (int64_t)(vgetq_lane_u64(vacc, 0) +
-                                vgetq_lane_u64(vacc, 1));
-        for (; j < w; ++j)
-            acc += popcnt64(row[j]);
-        out[i] = acc;
-    }
-}
-
-#endif /* REPRO_SIMD_NEON */
-
-/* ------------------------------------------------------------------ */
-/* fused_counts variants: for each query row gather one suffix row and */
-/* one prefix row per dimension (ranks precomputed by searchsorted),   */
-/* AND them down, combine per direction, AND the live mask, popcount — */
-/* one pass, no (b, W) temporaries.  mode 0: dominated = le & ~nlt;    */
-/* mode 1: dominator = nlt & ~le.  Callers guarantee d >= 1.           */
-/* ------------------------------------------------------------------ */
-
-__attribute__((optimize("no-tree-vectorize")))
-static void fused_counts_scalar(const uint64_t **suffix,
-                                const uint64_t **prefix,
-                                const int64_t *rank_ge, const int64_t *rank_le,
-                                const uint64_t *live, int64_t b, int64_t d,
-                                int64_t w, int32_t mode, int64_t *out) {
+/* Fused accumulator counts: for each query row gather one suffix row and
+ * one prefix row per dimension (ranks precomputed by searchsorted), AND
+ * them down, combine per direction, AND the live mask, popcount — one
+ * pass, no (b, W) temporaries.  mode 0: dominated = le & ~nlt; mode 1:
+ * dominator = nlt & ~le.  Callers guarantee d >= 1. */
+KERNEL void fused_counts(const uint64_t **suffix, const uint64_t **prefix,
+                         const int64_t *rank_ge, const int64_t *rank_le,
+                         const uint64_t *live, int64_t b, int64_t d,
+                         int64_t w, int32_t mode, int64_t *out) {
     const uint64_t *srow[d];
     const uint64_t *prow[d];
     for (int64_t i = 0; i < b; ++i) {
@@ -306,331 +197,12 @@ static void fused_counts_scalar(const uint64_t **suffix,
     }
 }
 
-#if defined(REPRO_SIMD_X86)
-
-__attribute__((target("avx2")))
-static void fused_counts_avx2(const uint64_t **suffix, const uint64_t **prefix,
-                              const int64_t *rank_ge, const int64_t *rank_le,
-                              const uint64_t *live, int64_t b, int64_t d,
-                              int64_t w, int32_t mode, int64_t *out) {
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        __m256i vacc = _mm256_setzero_si256();
-        int64_t j = 0;
-        if (d == 4) {
-            const uint64_t *s0 = srow[0], *s1 = srow[1];
-            const uint64_t *s2 = srow[2], *s3 = srow[3];
-            const uint64_t *p0 = prow[0], *p1 = prow[1];
-            const uint64_t *p2 = prow[2], *p3 = prow[3];
-            for (; j + 4 <= w; j += 4) {
-                __m256i le = _mm256_and_si256(
-                    _mm256_and_si256(
-                        _mm256_loadu_si256((const __m256i *)(s0 + j)),
-                        _mm256_loadu_si256((const __m256i *)(s1 + j))),
-                    _mm256_and_si256(
-                        _mm256_loadu_si256((const __m256i *)(s2 + j)),
-                        _mm256_loadu_si256((const __m256i *)(s3 + j))));
-                __m256i nlt = _mm256_and_si256(
-                    _mm256_and_si256(
-                        _mm256_loadu_si256((const __m256i *)(p0 + j)),
-                        _mm256_loadu_si256((const __m256i *)(p1 + j))),
-                    _mm256_and_si256(
-                        _mm256_loadu_si256((const __m256i *)(p2 + j)),
-                        _mm256_loadu_si256((const __m256i *)(p3 + j))));
-                __m256i word = mode ? _mm256_andnot_si256(le, nlt)
-                                    : _mm256_andnot_si256(nlt, le);
-                if (live)
-                    word = _mm256_and_si256(
-                        word, _mm256_loadu_si256((const __m256i *)(live + j)));
-                vacc = _mm256_add_epi64(vacc, avx2_popcnt_epi64(word));
-            }
-        } else {
-            for (; j + 4 <= w; j += 4) {
-                __m256i le = _mm256_loadu_si256((const __m256i *)(srow[0] + j));
-                __m256i nlt = _mm256_loadu_si256((const __m256i *)(prow[0] + j));
-                for (int64_t dim = 1; dim < d; ++dim) {
-                    le = _mm256_and_si256(le,
-                        _mm256_loadu_si256((const __m256i *)(srow[dim] + j)));
-                    nlt = _mm256_and_si256(nlt,
-                        _mm256_loadu_si256((const __m256i *)(prow[dim] + j)));
-                }
-                __m256i word = mode ? _mm256_andnot_si256(le, nlt)
-                                    : _mm256_andnot_si256(nlt, le);
-                if (live)
-                    word = _mm256_and_si256(
-                        word, _mm256_loadu_si256((const __m256i *)(live + j)));
-                vacc = _mm256_add_epi64(vacc, avx2_popcnt_epi64(word));
-            }
-        }
-        int64_t acc = avx2_hsum_epi64(vacc);
-        for (; j < w; ++j) {
-            uint64_t le = srow[0][j];
-            uint64_t nlt = prow[0][j];
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le &= srow[dim][j];
-                nlt &= prow[dim][j];
-            }
-            uint64_t word = mode ? (nlt & ~le) : (le & ~nlt);
-            if (live) word &= live[j];
-            acc += popcnt64(word);
-        }
-        out[i] = acc;
-    }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vpopcntdq")))
-static void fused_counts_avx512(const uint64_t **suffix,
-                                const uint64_t **prefix,
-                                const int64_t *rank_ge, const int64_t *rank_le,
-                                const uint64_t *live, int64_t b, int64_t d,
-                                int64_t w, int32_t mode, int64_t *out) {
-    if (d == 4) {
-        for (int64_t i = 0; i < b; ++i) {
-            const uint64_t *s0 = suffix[0] + rank_ge[i * 4 + 0] * w;
-            const uint64_t *s1 = suffix[1] + rank_ge[i * 4 + 1] * w;
-            const uint64_t *s2 = suffix[2] + rank_ge[i * 4 + 2] * w;
-            const uint64_t *s3 = suffix[3] + rank_ge[i * 4 + 3] * w;
-            const uint64_t *p0 = prefix[0] + rank_le[i * 4 + 0] * w;
-            const uint64_t *p1 = prefix[1] + rank_le[i * 4 + 1] * w;
-            const uint64_t *p2 = prefix[2] + rank_le[i * 4 + 2] * w;
-            const uint64_t *p3 = prefix[3] + rank_le[i * 4 + 3] * w;
-            /* Software-prefetch the next query row's 8 streams while the
-             * popcount chain works on this one: the pass is memory-bound
-             * and rows land at unpredictable rank offsets. */
-            const uint64_t *n0 = s0, *n1 = s1, *n2 = s2, *n3 = s3;
-            const uint64_t *m0 = p0, *m1 = p1, *m2 = p2, *m3 = p3;
-            if (i + 1 < b) {
-                n0 = suffix[0] + rank_ge[(i + 1) * 4 + 0] * w;
-                n1 = suffix[1] + rank_ge[(i + 1) * 4 + 1] * w;
-                n2 = suffix[2] + rank_ge[(i + 1) * 4 + 2] * w;
-                n3 = suffix[3] + rank_ge[(i + 1) * 4 + 3] * w;
-                m0 = prefix[0] + rank_le[(i + 1) * 4 + 0] * w;
-                m1 = prefix[1] + rank_le[(i + 1) * 4 + 1] * w;
-                m2 = prefix[2] + rank_le[(i + 1) * 4 + 2] * w;
-                m3 = prefix[3] + rank_le[(i + 1) * 4 + 3] * w;
-            }
-            __m512i vacc = _mm512_setzero_si512();
-            int64_t j = 0;
-            /* 16-word main step: two independent 8-word bodies keep the
-             * popcount chain busy while the prefetches pull the next
-             * row's lines in. */
-            for (; j + 16 <= w; j += 16) {
-                _mm_prefetch((const char *)(n0 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n0 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n1 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n1 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n2 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n2 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n3 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(n3 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m0 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m0 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m1 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m1 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m2 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m2 + j + 8), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m3 + j), _MM_HINT_T0);
-                _mm_prefetch((const char *)(m3 + j + 8), _MM_HINT_T0);
-                __m512i le = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(s0 + j)),
-                        _mm512_loadu_si512((const void *)(s1 + j))),
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(s2 + j)),
-                        _mm512_loadu_si512((const void *)(s3 + j))));
-                __m512i nlt = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(p0 + j)),
-                        _mm512_loadu_si512((const void *)(p1 + j))),
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(p2 + j)),
-                        _mm512_loadu_si512((const void *)(p3 + j))));
-                __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                    : _mm512_andnot_si512(nlt, le);
-                if (live)
-                    word = _mm512_and_si512(
-                        word, _mm512_loadu_si512((const void *)(live + j)));
-                vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(word));
-                __m512i le2 = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(s0 + j + 8)),
-                        _mm512_loadu_si512((const void *)(s1 + j + 8))),
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(s2 + j + 8)),
-                        _mm512_loadu_si512((const void *)(s3 + j + 8))));
-                __m512i nlt2 = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(p0 + j + 8)),
-                        _mm512_loadu_si512((const void *)(p1 + j + 8))),
-                    _mm512_and_si512(
-                        _mm512_loadu_si512((const void *)(p2 + j + 8)),
-                        _mm512_loadu_si512((const void *)(p3 + j + 8))));
-                __m512i word2 = mode ? _mm512_andnot_si512(le2, nlt2)
-                                     : _mm512_andnot_si512(nlt2, le2);
-                if (live)
-                    word2 = _mm512_and_si512(
-                        word2,
-                        _mm512_loadu_si512((const void *)(live + j + 8)));
-                vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(word2));
-            }
-            for (; j < w; j += 8) {
-                __mmask8 m = j + 8 <= w
-                                 ? (__mmask8)0xFF
-                                 : (__mmask8)((1u << (w - j)) - 1);
-                __m512i le = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_maskz_loadu_epi64(m, (const void *)(s0 + j)),
-                        _mm512_maskz_loadu_epi64(m, (const void *)(s1 + j))),
-                    _mm512_and_si512(
-                        _mm512_maskz_loadu_epi64(m, (const void *)(s2 + j)),
-                        _mm512_maskz_loadu_epi64(m, (const void *)(s3 + j))));
-                __m512i nlt = _mm512_and_si512(
-                    _mm512_and_si512(
-                        _mm512_maskz_loadu_epi64(m, (const void *)(p0 + j)),
-                        _mm512_maskz_loadu_epi64(m, (const void *)(p1 + j))),
-                    _mm512_and_si512(
-                        _mm512_maskz_loadu_epi64(m, (const void *)(p2 + j)),
-                        _mm512_maskz_loadu_epi64(m, (const void *)(p3 + j))));
-                __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                    : _mm512_andnot_si512(nlt, le);
-                if (live)
-                    word = _mm512_and_si512(
-                        word,
-                        _mm512_maskz_loadu_epi64(m, (const void *)(live + j)));
-                vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(word));
-            }
-            out[i] = _mm512_reduce_add_epi64(vacc);
-        }
-        return;
-    }
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        __m512i vacc = _mm512_setzero_si512();
-        int64_t j = 0;
-        for (; j + 8 <= w; j += 8) {
-            __m512i le = _mm512_loadu_si512((const void *)(srow[0] + j));
-            __m512i nlt = _mm512_loadu_si512((const void *)(prow[0] + j));
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = _mm512_and_si512(le,
-                    _mm512_loadu_si512((const void *)(srow[dim] + j)));
-                nlt = _mm512_and_si512(nlt,
-                    _mm512_loadu_si512((const void *)(prow[dim] + j)));
-            }
-            __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                : _mm512_andnot_si512(nlt, le);
-            if (live)
-                word = _mm512_and_si512(
-                    word, _mm512_loadu_si512((const void *)(live + j)));
-            vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(word));
-        }
-        if (j < w) {
-            __mmask8 m = (__mmask8)((1u << (w - j)) - 1);
-            __m512i le = _mm512_maskz_loadu_epi64(m, (const void *)(srow[0] + j));
-            __m512i nlt = _mm512_maskz_loadu_epi64(m, (const void *)(prow[0] + j));
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = _mm512_and_si512(le,
-                    _mm512_maskz_loadu_epi64(m, (const void *)(srow[dim] + j)));
-                nlt = _mm512_and_si512(nlt,
-                    _mm512_maskz_loadu_epi64(m, (const void *)(prow[dim] + j)));
-            }
-            __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                : _mm512_andnot_si512(nlt, le);
-            if (live)
-                word = _mm512_and_si512(
-                    word, _mm512_maskz_loadu_epi64(m, (const void *)(live + j)));
-            vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(word));
-        }
-        out[i] = _mm512_reduce_add_epi64(vacc);
-    }
-}
-
-#endif /* REPRO_SIMD_X86 */
-
-#if defined(REPRO_SIMD_NEON)
-
-static void fused_counts_neon(const uint64_t **suffix, const uint64_t **prefix,
-                              const int64_t *rank_ge, const int64_t *rank_le,
-                              const uint64_t *live, int64_t b, int64_t d,
-                              int64_t w, int32_t mode, int64_t *out) {
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        uint64x2_t vacc = vdupq_n_u64(0);
-        int64_t j = 0;
-        if (d == 4) {
-            const uint64_t *s0 = srow[0], *s1 = srow[1];
-            const uint64_t *s2 = srow[2], *s3 = srow[3];
-            const uint64_t *p0 = prow[0], *p1 = prow[1];
-            const uint64_t *p2 = prow[2], *p3 = prow[3];
-            for (; j + 2 <= w; j += 2) {
-                uint64x2_t le = vandq_u64(
-                    vandq_u64(vld1q_u64(s0 + j), vld1q_u64(s1 + j)),
-                    vandq_u64(vld1q_u64(s2 + j), vld1q_u64(s3 + j)));
-                uint64x2_t nlt = vandq_u64(
-                    vandq_u64(vld1q_u64(p0 + j), vld1q_u64(p1 + j)),
-                    vandq_u64(vld1q_u64(p2 + j), vld1q_u64(p3 + j)));
-                uint64x2_t word = mode ? vbicq_u64(nlt, le)
-                                       : vbicq_u64(le, nlt);
-                if (live) word = vandq_u64(word, vld1q_u64(live + j));
-                vacc = vaddq_u64(vacc, neon_popcnt_u64(word));
-            }
-        } else {
-            for (; j + 2 <= w; j += 2) {
-                uint64x2_t le = vld1q_u64(srow[0] + j);
-                uint64x2_t nlt = vld1q_u64(prow[0] + j);
-                for (int64_t dim = 1; dim < d; ++dim) {
-                    le = vandq_u64(le, vld1q_u64(srow[dim] + j));
-                    nlt = vandq_u64(nlt, vld1q_u64(prow[dim] + j));
-                }
-                uint64x2_t word = mode ? vbicq_u64(nlt, le)
-                                       : vbicq_u64(le, nlt);
-                if (live) word = vandq_u64(word, vld1q_u64(live + j));
-                vacc = vaddq_u64(vacc, neon_popcnt_u64(word));
-            }
-        }
-        int64_t acc = (int64_t)(vgetq_lane_u64(vacc, 0) +
-                                vgetq_lane_u64(vacc, 1));
-        for (; j < w; ++j) {
-            uint64_t le = srow[0][j];
-            uint64_t nlt = prow[0][j];
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le &= srow[dim][j];
-                nlt &= prow[dim][j];
-            }
-            uint64_t word = mode ? (nlt & ~le) : (le & ~nlt);
-            if (live) word &= live[j];
-            acc += popcnt64(word);
-        }
-        out[i] = acc;
-    }
-}
-
-#endif /* REPRO_SIMD_NEON */
-
-/* ------------------------------------------------------------------ */
-/* fused_bits variants: same gather + AND + combine, emitting the      */
-/* packed rows (mask routes).  Callers guarantee d >= 1.               */
-/* ------------------------------------------------------------------ */
-
-__attribute__((optimize("no-tree-vectorize")))
-static void fused_bits_scalar(const uint64_t **suffix, const uint64_t **prefix,
-                              const int64_t *rank_ge, const int64_t *rank_le,
-                              int64_t b, int64_t d, int64_t w, int32_t mode,
-                              uint64_t *out) {
+/* Fused accumulator rows: the same gather + AND + combine, emitting the
+ * packed rows (mask routes).  Callers guarantee d >= 1. */
+KERNEL void fused_bits(const uint64_t **suffix, const uint64_t **prefix,
+                       const int64_t *rank_ge, const int64_t *rank_le,
+                       int64_t b, int64_t d, int64_t w, int32_t mode,
+                       uint64_t *out) {
     const uint64_t *srow[d];
     const uint64_t *prow[d];
     for (int64_t i = 0; i < b; ++i) {
@@ -651,258 +223,10 @@ static void fused_bits_scalar(const uint64_t **suffix, const uint64_t **prefix,
     }
 }
 
-#if defined(REPRO_SIMD_X86)
-
-__attribute__((target("avx2")))
-static void fused_bits_avx2(const uint64_t **suffix, const uint64_t **prefix,
-                            const int64_t *rank_ge, const int64_t *rank_le,
-                            int64_t b, int64_t d, int64_t w, int32_t mode,
-                            uint64_t *out) {
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        uint64_t *dst = out + i * w;
-        int64_t j = 0;
-        for (; j + 4 <= w; j += 4) {
-            __m256i le = _mm256_loadu_si256((const __m256i *)(srow[0] + j));
-            __m256i nlt = _mm256_loadu_si256((const __m256i *)(prow[0] + j));
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = _mm256_and_si256(le,
-                    _mm256_loadu_si256((const __m256i *)(srow[dim] + j)));
-                nlt = _mm256_and_si256(nlt,
-                    _mm256_loadu_si256((const __m256i *)(prow[dim] + j)));
-            }
-            __m256i word = mode ? _mm256_andnot_si256(le, nlt)
-                                : _mm256_andnot_si256(nlt, le);
-            _mm256_storeu_si256((__m256i *)(dst + j), word);
-        }
-        for (; j < w; ++j) {
-            uint64_t le = srow[0][j];
-            uint64_t nlt = prow[0][j];
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le &= srow[dim][j];
-                nlt &= prow[dim][j];
-            }
-            dst[j] = mode ? (nlt & ~le) : (le & ~nlt);
-        }
-    }
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vpopcntdq")))
-static void fused_bits_avx512(const uint64_t **suffix, const uint64_t **prefix,
-                              const int64_t *rank_ge, const int64_t *rank_le,
-                              int64_t b, int64_t d, int64_t w, int32_t mode,
-                              uint64_t *out) {
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        uint64_t *dst = out + i * w;
-        int64_t j = 0;
-        for (; j + 8 <= w; j += 8) {
-            __m512i le = _mm512_loadu_si512((const void *)(srow[0] + j));
-            __m512i nlt = _mm512_loadu_si512((const void *)(prow[0] + j));
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = _mm512_and_si512(le,
-                    _mm512_loadu_si512((const void *)(srow[dim] + j)));
-                nlt = _mm512_and_si512(nlt,
-                    _mm512_loadu_si512((const void *)(prow[dim] + j)));
-            }
-            __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                : _mm512_andnot_si512(nlt, le);
-            _mm512_storeu_si512((void *)(dst + j), word);
-        }
-        if (j < w) {
-            __mmask8 m = (__mmask8)((1u << (w - j)) - 1);
-            __m512i le = _mm512_maskz_loadu_epi64(m, (const void *)(srow[0] + j));
-            __m512i nlt = _mm512_maskz_loadu_epi64(m, (const void *)(prow[0] + j));
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = _mm512_and_si512(le,
-                    _mm512_maskz_loadu_epi64(m, (const void *)(srow[dim] + j)));
-                nlt = _mm512_and_si512(nlt,
-                    _mm512_maskz_loadu_epi64(m, (const void *)(prow[dim] + j)));
-            }
-            __m512i word = mode ? _mm512_andnot_si512(le, nlt)
-                                : _mm512_andnot_si512(nlt, le);
-            _mm512_mask_storeu_epi64((void *)(dst + j), m, word);
-        }
-    }
-}
-
-#endif /* REPRO_SIMD_X86 */
-
-#if defined(REPRO_SIMD_NEON)
-
-static void fused_bits_neon(const uint64_t **suffix, const uint64_t **prefix,
-                            const int64_t *rank_ge, const int64_t *rank_le,
-                            int64_t b, int64_t d, int64_t w, int32_t mode,
-                            uint64_t *out) {
-    const uint64_t *srow[d];
-    const uint64_t *prow[d];
-    for (int64_t i = 0; i < b; ++i) {
-        for (int64_t dim = 0; dim < d; ++dim) {
-            srow[dim] = suffix[dim] + rank_ge[i * d + dim] * w;
-            prow[dim] = prefix[dim] + rank_le[i * d + dim] * w;
-        }
-        uint64_t *dst = out + i * w;
-        int64_t j = 0;
-        for (; j + 2 <= w; j += 2) {
-            uint64x2_t le = vld1q_u64(srow[0] + j);
-            uint64x2_t nlt = vld1q_u64(prow[0] + j);
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le = vandq_u64(le, vld1q_u64(srow[dim] + j));
-                nlt = vandq_u64(nlt, vld1q_u64(prow[dim] + j));
-            }
-            vst1q_u64(dst + j, mode ? vbicq_u64(nlt, le) : vbicq_u64(le, nlt));
-        }
-        for (; j < w; ++j) {
-            uint64_t le = srow[0][j];
-            uint64_t nlt = prow[0][j];
-            for (int64_t dim = 1; dim < d; ++dim) {
-                le &= srow[dim][j];
-                nlt &= prow[dim][j];
-            }
-            dst[j] = mode ? (nlt & ~le) : (le & ~nlt);
-        }
-    }
-}
-
-#endif /* REPRO_SIMD_NEON */
-
-/* ------------------------------------------------------------------ */
-/* Runtime dispatch: one table per kernel family, indexed by route.    */
-/* Unsupported routes alias the scalar twin, so a stale route index    */
-/* can never reach an illegal instruction.                             */
-/* ------------------------------------------------------------------ */
-
-typedef void (*popcount_rows_fn)(const uint64_t *, int64_t, int64_t,
-                                 int64_t *);
-typedef void (*fused_counts_fn)(const uint64_t **, const uint64_t **,
-                                const int64_t *, const int64_t *,
-                                const uint64_t *, int64_t, int64_t, int64_t,
-                                int32_t, int64_t *);
-typedef void (*fused_bits_fn)(const uint64_t **, const uint64_t **,
-                              const int64_t *, const int64_t *, int64_t,
-                              int64_t, int64_t, int32_t, uint64_t *);
-
-#if defined(REPRO_SIMD_X86)
-static const popcount_rows_fn popcount_rows_dispatch[4] = {
-    popcount_rows_scalar, popcount_rows_avx2, popcount_rows_avx512,
-    popcount_rows_scalar,
-};
-static const fused_counts_fn fused_counts_dispatch[4] = {
-    fused_counts_scalar, fused_counts_avx2, fused_counts_avx512,
-    fused_counts_scalar,
-};
-static const fused_bits_fn fused_bits_dispatch[4] = {
-    fused_bits_scalar, fused_bits_avx2, fused_bits_avx512,
-    fused_bits_scalar,
-};
-#elif defined(REPRO_SIMD_NEON)
-static const popcount_rows_fn popcount_rows_dispatch[4] = {
-    popcount_rows_scalar, popcount_rows_scalar, popcount_rows_scalar,
-    popcount_rows_neon,
-};
-static const fused_counts_fn fused_counts_dispatch[4] = {
-    fused_counts_scalar, fused_counts_scalar, fused_counts_scalar,
-    fused_counts_neon,
-};
-static const fused_bits_fn fused_bits_dispatch[4] = {
-    fused_bits_scalar, fused_bits_scalar, fused_bits_scalar,
-    fused_bits_neon,
-};
-#else
-static const popcount_rows_fn popcount_rows_dispatch[4] = {
-    popcount_rows_scalar, popcount_rows_scalar, popcount_rows_scalar,
-    popcount_rows_scalar,
-};
-static const fused_counts_fn fused_counts_dispatch[4] = {
-    fused_counts_scalar, fused_counts_scalar, fused_counts_scalar,
-    fused_counts_scalar,
-};
-static const fused_bits_fn fused_bits_dispatch[4] = {
-    fused_bits_scalar, fused_bits_scalar, fused_bits_scalar,
-    fused_bits_scalar,
-};
-#endif
-
-static int simd_best_level(void) {
-#if defined(REPRO_SIMD_X86)
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512vpopcntdq"))
-        return 2;
-    if (__builtin_cpu_supports("avx2"))
-        return 1;
-    return 0;
-#elif defined(REPRO_SIMD_NEON)
-    return 3;
-#else
-    return 0;
-#endif
-}
-
-/* Config state: written from Python at setup time, read (relaxed) by
+/* Thread config: written from Python at setup time, read (relaxed) by
  * every kernel call, possibly from worker threads — hence atomics. */
-static int simd_current = -1; /* -1 = auto: resolve to simd_best_level */
 static int threads_current = 1;
 static int64_t threads_min_words = (int64_t)1 << 19;
-
-static int resolve_level(void) {
-    int lvl = __atomic_load_n(&simd_current, __ATOMIC_RELAXED);
-    if (lvl >= 0)
-        return lvl;
-    lvl = simd_best_level();
-    __atomic_store_n(&simd_current, lvl, __ATOMIC_RELAXED);
-    return lvl;
-}
-
-API int32_t repro_simd_best(void) { return simd_best_level(); }
-
-API int32_t repro_simd_level(void) { return resolve_level(); }
-
-API int32_t repro_simd_supported(int32_t level) {
-    if (level == 0)
-        return 1;
-    if (level < 0 || level > 3)
-        return 0;
-#if defined(REPRO_SIMD_X86)
-    if (level == 1)
-        return __builtin_cpu_supports("avx2") ? 1 : 0;
-    if (level == 2)
-        return (__builtin_cpu_supports("avx512f") &&
-                __builtin_cpu_supports("avx512bw") &&
-                __builtin_cpu_supports("avx512vpopcntdq")) ? 1 : 0;
-    return 0;
-#elif defined(REPRO_SIMD_NEON)
-    return level == 3 ? 1 : 0;
-#else
-    (void)level;
-    return 0;
-#endif
-}
-
-/* Pin the SIMD route (-1 = auto). Returns the route in effect, or -1
- * when the request names a route this CPU/build cannot run (state is
- * left unchanged — the caller decides whether that is an error). */
-API int32_t repro_set_simd(int32_t level) {
-    if (level < 0) {
-        int lvl = simd_best_level();
-        __atomic_store_n(&simd_current, lvl, __ATOMIC_RELAXED);
-        return lvl;
-    }
-    if (level > 3 || !repro_simd_supported(level))
-        return -1;
-    __atomic_store_n(&simd_current, level, __ATOMIC_RELAXED);
-    return level;
-}
 
 API int32_t repro_set_threads(int32_t n) {
 #if defined(REPRO_NO_THREADS)
@@ -929,10 +253,10 @@ API int64_t repro_set_thread_min_words(int64_t words) {
     return prev;
 }
 
-/* What this build carries: bit 0 = SIMD variants, bit 1 = pthreads. */
+/* What this build carries: bit 0 = compiler clones, bit 1 = pthreads. */
 API int32_t repro_build_flags(void) {
     int32_t flags = 0;
-#if defined(REPRO_SIMD_X86) || defined(REPRO_SIMD_NEON)
+#if defined(REPRO_CLONES)
     flags |= 1;
 #endif
 #if !defined(REPRO_NO_THREADS)
@@ -950,7 +274,6 @@ API int32_t repro_build_flags(void) {
 
 typedef struct {
     int kind; /* 0 = popcount_rows, 1 = fused_counts, 2 = fused_bits */
-    int level;
     const uint64_t *words;
     const uint64_t **suffix;
     const uint64_t **prefix;
@@ -966,17 +289,15 @@ typedef struct {
 static void run_block(const repro_block *t) {
     switch (t->kind) {
     case 0:
-        popcount_rows_dispatch[t->level](t->words, t->b, t->w, t->out_counts);
+        popcount_rows(t->words, t->b, t->w, t->out_counts);
         break;
     case 1:
-        fused_counts_dispatch[t->level](t->suffix, t->prefix, t->rank_ge,
-                                        t->rank_le, t->live, t->b, t->d,
-                                        t->w, t->mode, t->out_counts);
+        fused_counts(t->suffix, t->prefix, t->rank_ge, t->rank_le, t->live,
+                     t->b, t->d, t->w, t->mode, t->out_counts);
         break;
     default:
-        fused_bits_dispatch[t->level](t->suffix, t->prefix, t->rank_ge,
-                                      t->rank_le, t->b, t->d, t->w, t->mode,
-                                      t->out_bits);
+        fused_bits(t->suffix, t->prefix, t->rank_ge, t->rank_le, t->b, t->d,
+                   t->w, t->mode, t->out_bits);
         break;
     }
 }
@@ -989,7 +310,6 @@ static void *run_block_thread(void *arg) {
 #endif
 
 static void run_blocked(repro_block *base) {
-    base->level = resolve_level();
 #if defined(REPRO_NO_THREADS)
     run_block(base);
 #else
@@ -1035,7 +355,7 @@ static void run_blocked(repro_block *base) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Public kernel entry points (dispatch + threading wrappers).         */
+/* Public kernel entry points (threading wrappers).                    */
 /* ------------------------------------------------------------------ */
 
 /* Per-row popcount of a (b, W) uint64 matrix. */
@@ -1056,7 +376,7 @@ API void repro_popcount_rows(const uint64_t *words, int64_t b, int64_t w,
     run_blocked(&task);
 }
 
-/* Fused accumulator counts (see fused_counts_scalar). */
+/* Fused accumulator counts (see fused_counts). */
 API void repro_fused_counts(const uint64_t **suffix, const uint64_t **prefix,
                             const int64_t *rank_ge, const int64_t *rank_le,
                             const uint64_t *live, int64_t b, int64_t d,
@@ -1082,7 +402,7 @@ API void repro_fused_counts(const uint64_t **suffix, const uint64_t **prefix,
     run_blocked(&task);
 }
 
-/* Fused accumulator rows (see fused_bits_scalar). */
+/* Fused accumulator rows (see fused_bits). */
 API void repro_fused_bits(const uint64_t **suffix, const uint64_t **prefix,
                           const int64_t *rank_ge, const int64_t *rank_le,
                           int64_t b, int64_t d, int64_t w, int32_t mode,
@@ -1174,14 +494,14 @@ _native_mode: str | None = None
 _native_lock = make_lock("native-build")
 
 #: Build attempts, best first. The embedded source compiles everywhere as
-#: plain C99 once the vector variants (#ifdef'd behind target attributes)
-#: and the pthread pool are gated out, so a toolchain that cannot build
-#: SIMD or threads still yields a working scalar library instead of the
-#: numpy fallback.
-_BUILD_ATTEMPTS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("simd+threads", ("-pthread",)),
-    ("threads", ("-pthread", "-DREPRO_NO_SIMD")),
-    ("portable", ("-DREPRO_NO_SIMD", "-DREPRO_NO_THREADS")),
+#: plain C99 once the compiler clones (``target_clones`` needs ifunc
+#: support) and the pthread pool are gated out, so such a toolchain still
+#: yields a working library instead of the numpy fallback. A toolchain
+#: without ifunc (clang on macOS, GCC for musl) keeps the thread pool.
+_BUILD_ATTEMPTS: tuple[tuple[str, ...], ...] = (
+    ("-pthread",),
+    ("-pthread", "-DREPRO_NO_CLONES"),
+    ("-DREPRO_NO_CLONES", "-DREPRO_NO_THREADS"),
 )
 
 
@@ -1230,7 +550,7 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
                 out = os.path.join(tmp, "kernels.so")
                 base = [cc, "-O3", "-fPIC", "-shared", "-std=c99"]
                 result = None
-                for _, mode_flags in _BUILD_ATTEMPTS:
+                for mode_flags in _BUILD_ATTEMPTS:
                     cmd = base + list(mode_flags) + extra_flags + [src, "-o", out]
                     result = subprocess.run(cmd, capture_output=True, text=True)
                     if result.returncode == 0:
@@ -1265,14 +585,6 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
         c_vp, c_i64, c_i64, c_i64, c_i64, c_i64, c_i32, c_vp
     )
     lib.repro_moved_rank_row.restype = None
-    lib.repro_simd_best.argtypes = ()
-    lib.repro_simd_best.restype = c_i32
-    lib.repro_simd_level.argtypes = ()
-    lib.repro_simd_level.restype = c_i32
-    lib.repro_simd_supported.argtypes = (c_i32,)
-    lib.repro_simd_supported.restype = c_i32
-    lib.repro_set_simd.argtypes = (c_i32,)
-    lib.repro_set_simd.restype = c_i32
     lib.repro_set_threads.argtypes = (c_i32,)
     lib.repro_set_threads.restype = c_i32
     lib.repro_get_threads.argtypes = ()
@@ -1285,7 +597,7 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
     # toolchain fell back — ask the binary what it carries rather than
     # trusting which attempt succeeded here.
     flags = int(lib.repro_build_flags())
-    _native_mode = {3: "simd+threads", 2: "threads", 1: "simd", 0: "portable"}[
+    _native_mode = {3: "clones+threads", 2: "threads", 1: "clones", 0: "portable"}[
         flags & 3
     ]
     return lib, None
@@ -1317,23 +629,21 @@ def native_build_error() -> str | None:
 
 
 def native_build_mode() -> str | None:
-    """What the loaded native library carries: ``"simd+threads"`` (the
-    full build), ``"threads"`` / ``"simd"`` (one feature gated out by a
-    compile fallback) or ``"portable"`` (plain scalar C99). ``None``
-    when the native backend is unavailable."""
+    """What the loaded native library carries: ``"clones+threads"`` (the
+    full build), ``"threads"`` (the fallback for toolchains without
+    ifunc), ``"portable"`` (plain C99, the last fallback) or
+    ``"clones"`` (threads gated out by hand through
+    ``REPRO_NATIVE_CFLAGS``). ``None`` when the native backend is
+    unavailable."""
     if _load_native() is None:
         return None
     return _native_mode
 
 
 # ---------------------------------------------------------------------------
-# SIMD route / thread-count configuration
+# Thread-count configuration
 # ---------------------------------------------------------------------------
 
-#: Route index <-> name mapping, mirroring the C side (0..3).
-_SIMD_NAMES = {0: "scalar", 1: "avx2", 2: "avx512", 3: "neon"}
-_SIMD_LEVELS = {name: level for level, name in _SIMD_NAMES.items()}
-_SIMD_ENV = "REPRO_NATIVE_SIMD"
 _THREADS_ENV = "REPRO_NATIVE_THREADS"
 _MAX_NATIVE_THREADS = 16  # mirrors REPRO_MAX_THREADS in the C source
 
@@ -1365,89 +675,18 @@ def _coerce_threads(value: int | str) -> int:
 
 
 def _apply_native_env(lib: ctypes.CDLL) -> None:
-    """Apply ``REPRO_NATIVE_SIMD`` / ``REPRO_NATIVE_THREADS`` to a freshly
-    loaded library (also how pool workers inherit the parent's knobs)."""
-    route = os.environ.get(_SIMD_ENV, "").strip().lower()
-    if route and route != "auto":
-        level = _SIMD_LEVELS.get(route)
-        if level is None:
-            raise InvalidParameterError(
-                f"unknown SIMD route {route!r} "
-                f"(expected {'|'.join(_SIMD_LEVELS)}|auto)"
-            )
-        if int(lib.repro_set_simd(level)) < 0:
-            raise InvalidParameterError(
-                f"SIMD route {route!r} is not supported by this CPU/build "
-                f"(supported: {', '.join(_lib_routes(lib))})"
-            )
+    """Apply ``REPRO_NATIVE_THREADS`` to a freshly loaded library (also
+    how pool workers inherit the parent's thread count)."""
     threads = os.environ.get(_THREADS_ENV, "").strip()
     if threads:
         lib.repro_set_threads(_coerce_threads(threads))
 
 
-def _lib_routes(lib: ctypes.CDLL) -> list[str]:
-    return [
-        _SIMD_NAMES[level]
-        for level in sorted(_SIMD_NAMES)
-        if int(lib.repro_simd_supported(level))
-    ]
-
-
-def simd_routes() -> list[str]:
-    """SIMD routes this CPU + build can run (``scalar`` always, when the
-    native library loaded at all)."""
-    lib = _load_native()
-    if lib is None:
-        return []
-    return _lib_routes(lib)
-
-
 def simd_route() -> str | None:
-    """The SIMD route the next native kernel call will dispatch to
-    (``None`` when the native backend is unavailable)."""
-    lib = _load_native()
-    if lib is None:
-        return None
-    return _SIMD_NAMES[int(lib.repro_simd_level())]
-
-
-def set_simd_route(name: str | None = None) -> str:
-    """Pin the native SIMD route (``"auto"``/``None`` re-resolves to the
-    best supported one). Returns the route now in effect; raises when the
-    requested route cannot run on this CPU/build."""
-    lib = _load_native()
-    if lib is None:
-        raise InvalidParameterError(
-            f"native backend unavailable: {native_build_error()}"
-        )
-    requested = (name or "auto").strip().lower()
-    if requested == "auto":
-        return _SIMD_NAMES[int(lib.repro_set_simd(-1))]
-    level = _SIMD_LEVELS.get(requested)
-    if level is None:
-        raise InvalidParameterError(
-            f"unknown SIMD route {requested!r} "
-            f"(expected {'|'.join(_SIMD_LEVELS)}|auto)"
-        )
-    effective = int(lib.repro_set_simd(level))
-    if effective < 0:
-        raise InvalidParameterError(
-            f"SIMD route {requested!r} is not supported by this CPU/build "
-            f"(supported: {', '.join(_lib_routes(lib))})"
-        )
-    return _SIMD_NAMES[effective]
-
-
-@contextmanager
-def use_simd_route(name: str | None):
-    """Temporarily pin the SIMD route (tests, benchmarks)."""
-    previous = simd_route()
-    route = set_simd_route(name)
-    try:
-        yield route
-    finally:
-        if previous is not None:
-            set_simd_route(previous)
+    """Host fact for benchmark records: always ``"auto"`` when the native
+    backend loaded (the compiler's clones pick the ISA at load time; no
+    route is selectable), ``None`` when it is unavailable."""
+    return None if _load_native() is None else "auto"
 
 
 def native_threads() -> int:
@@ -1575,9 +814,9 @@ def _timed_kernel(method):
 
     When tracing is enabled, each call's wall time lands in a metrics
     histogram named ``native.<kernel>.<calibration_key>`` — the same
-    route+threads key the planner prices (``native:avx512:t4`` etc.), so
-    observed kernel latency is attributable to the exact dispatched
-    variant. Disabled cost is one flag check per call; these entry
+    thread-count key the planner prices (``native:t4`` etc.), so
+    observed kernel latency is attributable to the configuration that
+    ran it. Disabled cost is one flag check per call; these entry
     points are batched (one call per scan block, not per row), so that
     check is far off the hot loop.
     """
@@ -1614,11 +853,10 @@ class NativeBackend(KernelBackend):
 
     @property
     def calibration_key(self) -> str:
-        """Planner calibration key naming the variant actually dispatched
-        (e.g. ``native:avx512:t4``) — a speedup measured for one SIMD
-        route / thread count must not price a different one."""
-        route = _SIMD_NAMES[int(self._lib.repro_simd_level())]
-        return f"native:{route}:t{int(self._lib.repro_get_threads())}"
+        """Planner calibration key naming the thread count in effect
+        (e.g. ``native:t4``) — a speedup measured at one thread count
+        must not price a different one."""
+        return f"native:t{int(self._lib.repro_get_threads())}"
 
     # -- helpers ------------------------------------------------------------
 
@@ -1848,11 +1086,9 @@ def measure_backend_speedup(
             from . import planner
 
             planner.record_backend_speedup("native", speedup)
-            # Also record under the dispatched-variant key so `auto`
-            # prices the route/thread combination actually measured.
-            variant = native.calibration_key
-            if variant != "native":
-                planner.record_backend_speedup(variant, speedup)
+            # Also record under the thread-count key so `auto` prices
+            # the configuration actually measured.
+            planner.record_backend_speedup(native.calibration_key, speedup)
         except Exception:
             pass
     return speedup

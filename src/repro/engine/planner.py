@@ -43,6 +43,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -100,6 +101,13 @@ _BIAS_ALPHA = 0.3
 #: Measured kernel-backend speedups are believed only within this range —
 #: a corrupt store entry can rescale vectorised costs but not zero them.
 _BACKEND_SPEEDUP_CLIP = (0.25, 16.0)
+
+#: Shape of the backend calibration keys this version records: a backend
+#: name, optionally with the native thread count (``native:t4``). A
+#: persisted key of any other shape (e.g. a per-SIMD-route
+#: ``native:avx512:t1``) prices a configuration that no longer exists and
+#: is dropped on load.
+_BACKEND_KEY_RE = re.compile(r"[a-z]+(:t\d+)?")
 
 
 @dataclass
@@ -264,13 +272,13 @@ def _active_backend_speedup() -> float:
         active = backend_module._active_backend
         if active is None or not active.native:
             return 1.0
-        # Prefer the calibration of the variant actually dispatched
-        # (e.g. "native:avx512:t4"): a speedup measured for one SIMD
-        # route / thread count must not price a different one. Fall back
-        # to the backend-wide key for observations recorded before the
-        # variant was known (or persisted by an older store).
-        variant = getattr(active, "calibration_key", None)
-        speedup = backend_speedup(variant) if variant else None
+        # Prefer the calibration of the thread count in effect (e.g.
+        # "native:t4"): a speedup measured at one thread count must not
+        # price a different one. Fall back to the backend-wide key for
+        # observations recorded before the count was known (or persisted
+        # by an older store).
+        key = getattr(active, "calibration_key", None)
+        speedup = backend_speedup(key) if key else None
         if speedup is None:
             speedup = backend_speedup(active.name)
     except Exception:  # pragma: no cover - defensive
@@ -328,7 +336,7 @@ def apply_calibration_state(state: Mapping) -> None:
             # Same freshness rule as bias: a persisted speedup never
             # overrides one this process measured itself.
             for name, value in backends.items():
-                if str(name) in cal.backends:
+                if str(name) in cal.backends or not _BACKEND_KEY_RE.fullmatch(str(name)):
                     continue
                 record_backend_speedup(str(name), value)
 

@@ -1250,26 +1250,32 @@ class QueryEngine:
             root.set("estimated_seconds", plan.estimated_seconds)
             root.set("measured_seconds", elapsed)
         if cacheable:
-            with self._lock:
-                self.stats.evictions += self._results.put(result_key, result)
-            if self._store is not None:
-                item = {
-                    "fingerprint": result_key[0],
-                    "k": result_key[1],
-                    "algorithm": result_key[2],
-                    "options_key": result_key[3],
-                    "result": result,
-                    "rebuild_seconds": elapsed,
-                }
-                with self._lock:
-                    self.stats.store_writes += 1
-                    deferred = self._defer_store_writes
-                    if deferred:
-                        self._store_pending.append(item)
-                if not deferred:
-                    with telemetry.trace("store.write"):
-                        self._store.put_result(**item)
+            self._remember_result(result_key, result, elapsed)
         return result
+
+    def _remember_result(self, result_key: tuple, result, elapsed: float) -> None:
+        """Cache a fresh answer in memory and write it to the store —
+        buffered while :meth:`_batched_store_writes` is in effect."""
+        with self._lock:
+            self.stats.evictions += self._results.put(result_key, result)
+        if self._store is None:
+            return
+        item = {
+            "fingerprint": result_key[0],
+            "k": result_key[1],
+            "algorithm": result_key[2],
+            "options_key": result_key[3],
+            "result": result,
+            "rebuild_seconds": elapsed,
+        }
+        with self._lock:
+            self.stats.store_writes += 1
+            deferred = self._defer_store_writes
+            if deferred:
+                self._store_pending.append(item)
+        if not deferred:
+            with telemetry.trace("store.write"):
+                self._store.put_result(**item)
 
     def _query_partitioned(
         self, dataset, k: int, *, partitions, workers, tie_break: str, rng
@@ -1425,15 +1431,7 @@ class QueryEngine:
             registry.count("engine.partitioned_queries")
             registry.observe("engine.query_seconds", elapsed)
         if cacheable:
-            with self._lock:
-                self.stats.evictions += self._results.put(result_key, result)
-            if self._store is not None:
-                with self._lock:
-                    self.stats.store_writes += 1
-                with telemetry.trace("store.write"):
-                    self._store.put_result(
-                        *result_key, result, rebuild_seconds=elapsed
-                    )
+            self._remember_result(result_key, result, elapsed)
         return result
 
     def _incremental_result(self, dataset, k: int, *, tie_break: str, rng):

@@ -2,7 +2,7 @@
 
 The engine spans six layers, three process boundaries (the ``query_many``
 pool, the partition phase-1/phase-2 workers, spill I/O) and a native
-SIMD/threaded kernel library — and until this module the only visibility
+threaded C kernel library — and until this module the only visibility
 was counters read after the fact. Telemetry answers "where did this
 query spend its time?" on any production query:
 

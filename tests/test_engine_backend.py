@@ -364,6 +364,28 @@ class TestBackendCalibration:
         finally:
             planner.reset_calibration()
 
+    def test_stale_route_keys_are_ignored(self, tmp_path):
+        """A store written while calibration keys named a SIMD route
+        (``native:avx512:t1``) loads without error: the stale key is
+        dropped, pricing falls back to the backend-wide ``native`` key,
+        and the next save does not carry the stale key forward."""
+        from repro.engine.store import PersistentStore
+
+        store = PersistentStore(tmp_path / "store")
+        store.save_planner({"bias": {}, "backends": {"native": 2.0, "native:avx512:t1": 9.0}})
+        planner.reset_calibration()
+        try:
+            planner.apply_calibration_state(store.load_planner())
+            assert planner.backend_speedup("native:avx512:t1") is None
+            assert planner.backend_speedup("native") == 2.0
+            if native_available():
+                with use_backend("native"):
+                    assert planner._active_backend_speedup() == 2.0
+            store.save_planner(planner.calibration_state())
+            assert set(store.load_planner()["backends"]) == {"native"}
+        finally:
+            planner.reset_calibration()
+
     def test_estimate_costs_scale_with_active_backend(self):
         planner.record_backend_speedup("native", 4.0)
         with use_backend("numpy"):

@@ -389,6 +389,28 @@ class TestWorkersAndAuto:
         if got.algorithm == "partitioned":
             assert got.indices == want.indices and got.scores == want.scores
 
+    def test_partitioned_store_writes_honour_batching(self, tmp_path, monkeypatch):
+        """Inside a write batch, a partitioned answer is buffered like a
+        monolithic one: no per-query write, one batched write at exit."""
+        from repro.engine.store import PersistentStore
+
+        ds = random_dataset(120, seed=26)
+        engine = fresh_engine(store=PersistentStore(tmp_path / "store"))
+        calls = []
+        monkeypatch.setattr(
+            engine.store, "put_result", lambda *a, **kw: calls.append("put_result")
+        )
+        real_put_results = engine.store.put_results
+        monkeypatch.setattr(
+            engine.store,
+            "put_results",
+            lambda items: (calls.append("put_results"), real_put_results(items)),
+        )
+        with engine._batched_store_writes():
+            engine.query(ds, 4, partitions=3)
+            assert calls == []
+        assert calls == ["put_results"]
+
     def test_bad_partitions_arguments_rejected(self):
         ds = random_dataset(20, seed=25)
         engine = fresh_engine()

@@ -1,20 +1,21 @@
-"""SIMD dispatch and native-threading tests for the kernel backend.
+"""Compiler-cloned kernels and native-threading tests for the kernel backend.
 
-The native library carries scalar + vector variants of every kernel in one
-``.so`` and picks between them at runtime; an in-process pthread pool splits
-passes over disjoint row blocks.  Neither knob may ever change an answer —
-these tests pin that contract:
+The native library carries one portable C function per kernel family; on
+x86-64 the compiler clones each into baseline and AVX2 bodies and the
+loader picks one for the CPU.  An in-process pthread pool splits passes
+over disjoint row blocks.  Neither may ever change an answer — these tests
+pin that contract:
 
-* every supported SIMD route × thread count is bit-identical to numpy on
-  word-boundary sizes (63/64/65/128), NaN payloads and tombstoned rows;
-* forced-scalar equals forced-vector (the parity suite's reference route is
-  genuinely scalar — the C source disables auto-vectorisation on the twins);
-* config surfaces (env vars, ``QueryEngine(native_threads=)``, the CLI flag)
-  validate loudly and reach the library;
-* the planner calibrates the variant actually dispatched, not a blanket
-  "native" figure;
-* a toolchain that cannot compile the vector variants still yields a
-  working scalar library (subprocess-proven graceful fallback).
+* every kernel (popcount, fused counts, fused masks) × thread count
+  {1, 2, 3, 8} × live mask is bit-identical to numpy on word-boundary
+  sizes (63/64/65/128), NaN payloads and tombstoned rows, with the
+  work-size gate forced open so tiny inputs still take the threaded path;
+* config surfaces (env var, ``QueryEngine(native_threads=)``, the CLI
+  flag) validate loudly and reach the library;
+* the planner calibrates the thread count actually in effect, not a
+  blanket "native" figure;
+* a toolchain that cannot compile the clones still yields a working,
+  bit-identical portable library (subprocess-proven graceful fallback).
 """
 
 from __future__ import annotations
@@ -37,16 +38,13 @@ from repro.engine.backend import (
     native_build_mode,
     native_threads,
     set_native_threads,
-    set_simd_route,
     set_thread_min_words,
-    simd_route,
-    simd_routes,
     use_backend,
     use_native_threads,
-    use_simd_route,
 )
 from repro.engine.kernels import (
     PreparedDataset,
+    _BitsetTables,
     dominated_counts,
     dominated_masks,
     dominator_counts,
@@ -66,19 +64,16 @@ THREAD_COUNTS = (1, 2, 3, 8)
 
 @pytest.fixture(autouse=True)
 def _restore_native_knobs():
-    """Every test leaves the process-wide SIMD route, thread count and
-    work-size gate as it found them (they live in the loaded .so)."""
+    """Every test leaves the process-wide thread count and work-size gate
+    as it found them (they live in the loaded .so)."""
     previous_backend = backend_module._active_backend
-    route = simd_route()
     threads = native_threads()
     gate = set_thread_min_words(None) if native_available() else None
     yield
     with backend_module._registry_lock:
         backend_module._active_backend = previous_backend
-    if route is not None:
-        set_simd_route(route)
-        set_native_threads(threads)
     if gate is not None:
+        set_native_threads(threads)
         set_thread_min_words(gate)
 
 
@@ -99,42 +94,17 @@ def _full_answer(ds):
 
 
 # ---------------------------------------------------------------------------
-# Route discovery / forcing
+# Which build route loaded
 # ---------------------------------------------------------------------------
 
 @needs_native
 class TestRouteSelection:
-    def test_scalar_always_supported(self):
-        routes = simd_routes()
-        assert "scalar" in routes
-        assert routes == sorted(set(routes), key=routes.index)  # no dupes
-
-    def test_forced_route_sticks_and_auto_restores(self):
-        best = set_simd_route("auto")
-        with use_simd_route("scalar") as route:
-            assert route == "scalar"
-            assert simd_route() == "scalar"
-        assert simd_route() == best
-
-    def test_unsupported_route_rejected_and_state_unchanged(self):
-        unsupported = [r for r in ("neon", "avx512", "avx2") if r not in simd_routes()]
-        if not unsupported:
-            pytest.skip("CPU supports every route in the catalogue")
-        before = simd_route()
-        with pytest.raises(InvalidParameterError):
-            set_simd_route(unsupported[0])
-        assert simd_route() == before
-
-    def test_unknown_route_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            set_simd_route("sse9")
-
     def test_build_mode_reported(self):
-        assert native_build_mode() in {"simd+threads", "threads", "simd", "portable"}
+        assert native_build_mode() in {"clones+threads", "threads", "clones", "portable"}
 
 
 # ---------------------------------------------------------------------------
-# Bit-identical parity: every route × thread count
+# Bit-identical parity: every kernel × thread count × live mask
 # ---------------------------------------------------------------------------
 
 @needs_native
@@ -142,55 +112,70 @@ class TestSimdThreadParity:
     @pytest.mark.parametrize("n", (63, 64, 65, 128))
     def test_routes_and_threads_match_numpy(self, make_incomplete, n):
         """Word-boundary sizes with NaN payloads: counts and masks agree
-        with numpy under every (route, thread count), with the work-size
-        gate forced open so tiny inputs still take the threaded path."""
+        with numpy under every thread count, with the work-size gate
+        forced open so tiny inputs still take the threaded path."""
         ds = make_incomplete(n, 4, missing_rate=0.3, seed=n)
         with use_backend("numpy"):
             expected = _full_answer(ds)
         set_thread_min_words(0)
         with use_backend("native"):
-            for route in simd_routes():
-                with use_simd_route(route):
-                    for count in THREAD_COUNTS:
-                        with use_native_threads(count):
-                            assert _full_answer(ds) == expected, (route, count)
+            for count in THREAD_COUNTS:
+                with use_native_threads(count):
+                    assert _full_answer(ds) == expected, count
 
-    def test_forced_scalar_equals_forced_vector(self, make_incomplete):
-        vector_routes = [r for r in simd_routes() if r != "scalar"]
-        if not vector_routes:
-            pytest.skip("no vector route on this CPU/build")
-        ds = make_incomplete(257, 5, missing_rate=0.2, seed=3)
+    @pytest.mark.parametrize("d", (3, 4))
+    def test_accumulator_kernels_with_live_mask(self, d):
+        """The fused count kernel with and without a live mask, and the
+        fused mask kernel, in both directions, at the unrolled d=4 body
+        and the general one."""
+        rng = np.random.default_rng(d)
+        values = rng.random((130, d))
+        values[rng.random((130, d)) < 0.2] = np.nan
+        lo = np.where(np.isnan(values), -np.inf, values)
+        hi = np.where(np.isnan(values), np.inf, values)
+        tables = _BitsetTables(lo, hi)
+        idx = np.arange(130, dtype=np.intp)
+        live = rng.integers(0, 2**64, size=tables.words, dtype=np.uint64)
+        numpy_backend = backend_module._numpy_backend
+        native = backend_module._native()
         set_thread_min_words(0)
-        with use_backend("native"):
-            with use_simd_route("scalar"):
-                reference = _full_answer(ds)
-            for route in vector_routes:
-                with use_simd_route(route):
-                    assert _full_answer(ds) == reference, route
+        for direction in ("dominated", "dominator"):
+            expected_bits = numpy_backend.accumulator_bits(
+                tables, lo, hi, idx, direction=direction
+            )
+            for mask in (None, live):
+                expected = numpy_backend.accumulator_counts(
+                    tables, lo, hi, idx, direction=direction, live=mask
+                )
+                for count in THREAD_COUNTS:
+                    with use_native_threads(count):
+                        got = native.accumulator_counts(
+                            tables, lo, hi, idx, direction=direction, live=mask
+                        )
+                        assert got.tolist() == expected.tolist(), (direction, count)
+            for count in THREAD_COUNTS:
+                with use_native_threads(count):
+                    got_bits = native.accumulator_bits(
+                        tables, lo, hi, idx, direction=direction
+                    )
+                    assert np.array_equal(got_bits, expected_bits), (direction, count)
 
     def test_tombstoned_rows_parity(self, make_incomplete):
-        """Streams that leave tombstones behind answer identically on every
-        route × thread count (the live mask rides through the kernels)."""
+        """Streams that leave tombstones behind answer identically at every
+        thread count (the live mask rides through the kernels)."""
         answers = {}
         set_thread_min_words(0)
-        combos = [("numpy", None, 1)] + [
-            ("native", route, count)
-            for route in simd_routes()
-            for count in (1, 3)
-        ]
-        for backend_name, route, count in combos:
+        combos = [("numpy", 1)] + [("native", count) for count in THREAD_COUNTS]
+        for backend_name, count in combos:
             ds = make_incomplete(200, 4, missing_rate=0.3, seed=21)
-            with use_backend(backend_name):
-                if backend_name == "native":
-                    set_simd_route(route)
-                    set_native_threads(count)
+            with use_backend(backend_name), use_native_threads(count):
                 engine = QueryEngine(dataset_cache=PreparedDatasetCache())
                 child = engine.delete(ds, list(ds.ids[10:40]))
                 trace = [engine.query(child, 10).ids]
                 child = engine.insert(child, [[0.5, 0.5, 0.5, 0.5]])
                 trace.append(engine.query(child, 10).ids)
-                answers[(backend_name, route, count)] = trace
-        reference = answers[("numpy", None, 1)]
+                answers[(backend_name, count)] = trace
+        reference = answers[("numpy", 1)]
         for combo, trace in answers.items():
             assert trace == reference, combo
 
@@ -201,12 +186,9 @@ class TestSimdThreadParity:
             expected = kernels._popcount_rows(words).tolist()
         set_thread_min_words(0)
         with use_backend("native"):
-            for route in simd_routes():
-                with use_simd_route(route):
-                    for count in THREAD_COUNTS:
-                        with use_native_threads(count):
-                            got = kernels._popcount_rows(words).tolist()
-                            assert got == expected, (route, count)
+            for count in THREAD_COUNTS:
+                with use_native_threads(count):
+                    assert kernels._popcount_rows(words).tolist() == expected, count
 
     def test_thread_gate_leaves_small_inputs_single_threaded(self):
         """The work-size gate is a pure performance heuristic — answers at
@@ -253,18 +235,9 @@ class TestThreadConfig:
     @needs_native
     def test_env_application(self, monkeypatch):
         lib = backend_module._load_native()
-        monkeypatch.setenv("REPRO_NATIVE_SIMD", "scalar")
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
         backend_module._apply_native_env(lib)
-        assert simd_route() == "scalar"
         assert native_threads() == 3
-
-    @needs_native
-    def test_env_rejects_unknown_route(self, monkeypatch):
-        lib = backend_module._load_native()
-        monkeypatch.setenv("REPRO_NATIVE_SIMD", "warp9")
-        with pytest.raises(InvalidParameterError):
-            backend_module._apply_native_env(lib)
 
     @needs_native
     def test_cli_flag_reaches_library(self, tmp_path, monkeypatch, capsys):
@@ -292,15 +265,15 @@ class TestThreadConfig:
 
 
 # ---------------------------------------------------------------------------
-# Planner calibration records the dispatched variant
+# Planner calibration records the thread count in effect
 # ---------------------------------------------------------------------------
 
 @needs_native
 class TestVariantCalibration:
-    def test_calibration_key_names_route_and_threads(self):
+    def test_calibration_key_names_threads(self):
         native = backend_module._native()
-        with use_simd_route("scalar"), use_native_threads(2):
-            assert native.calibration_key == "native:scalar:t2"
+        with use_native_threads(2):
+            assert native.calibration_key == "native:t2"
 
     def test_measured_speedup_recorded_under_variant_key(self):
         from repro.engine.planner import backend_speedup
@@ -316,79 +289,106 @@ class TestVariantCalibration:
 
 
 # ---------------------------------------------------------------------------
-# Graceful fallback when the vector variants cannot compile
+# Graceful fallback when the compiler clones or threads cannot build
 # ---------------------------------------------------------------------------
+
+def _fallback_report(tmp_path, required_flag: str) -> dict:
+    """Build the library in a subprocess through a ``cc`` wrapper that fails
+    every attempt lacking ``required_flag``; return the probe's report
+    (build mode and native answers, already checked against numpy)."""
+    real_cc = backend_module._compiler()
+    wrapper = tmp_path / "cc-restricted"
+    wrapper.write_text(
+        textwrap.dedent(
+            f"""\
+            #!/bin/sh
+            for arg in "$@"; do
+                if [ "$arg" = "{required_flag}" ]; then
+                    exec {real_cc} "$@"
+                fi
+            done
+            echo "error: unsupported by this toolchain ({required_flag} missing)" >&2
+            exit 1
+            """
+        )
+    )
+    wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
+    probe = textwrap.dedent(
+        """\
+        import json
+        import numpy as np
+        from repro.core.dataset import IncompleteDataset
+        from repro.engine.backend import native_available, native_build_mode, use_backend
+        from repro.engine.kernels import PreparedDataset, dominated_counts, dominated_masks
+
+        assert native_available(), "fallback build should still load"
+        rng = np.random.default_rng(0)
+        values = rng.uniform(0, 10, size=(80, 3))
+        values[rng.uniform(size=(80, 3)) < 0.25] = np.nan
+        ds = IncompleteDataset(values.tolist())
+        answers = {}
+        for name in ("numpy", "native"):
+            with use_backend(name):
+                prepared = PreparedDataset(ds)
+                prepared.tables(build=True)
+                answers[name] = (
+                    dominated_counts(ds, prepared=prepared).tolist(),
+                    dominated_masks(ds, prepared=prepared).tolist(),
+                )
+        assert answers["numpy"] == answers["native"]
+        print(json.dumps({"mode": native_build_mode(), "answer": answers["native"]}))
+        """
+    )
+    env = dict(os.environ)
+    env.update(
+        CC=str(wrapper),
+        REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
+        PYTHONPATH=str(REPO / "src"),
+    )
+    # Only the wrapper decides which attempt succeeds: inherited extra
+    # flags (the sanitizer legs set some) would reach every attempt.
+    env.pop("REPRO_NATIVE_THREADS", None)
+    env.pop("REPRO_NATIVE_CFLAGS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def _native_answer_here() -> list:
+    from repro.core.dataset import IncompleteDataset
+
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0, 10, size=(80, 3))
+    values[rng.uniform(size=(80, 3)) < 0.25] = np.nan
+    ds = IncompleteDataset(values.tolist())
+    with use_backend("native"):
+        prepared = _tabled(ds)
+        return [
+            dominated_counts(ds, prepared=prepared).tolist(),
+            dominated_masks(ds, prepared=prepared).tolist(),
+        ]
+
 
 @needs_native
 class TestBuildFallback:
     def test_simd_compile_failure_falls_back_to_scalar(self, tmp_path):
-        """A toolchain that chokes on the vector variants must still produce
-        a working library: the build retries with -DREPRO_NO_SIMD, routes
-        collapse to scalar, and answers still match numpy."""
-        real_cc = backend_module._compiler()
-        wrapper = tmp_path / "cc-no-simd"
-        wrapper.write_text(
-            textwrap.dedent(
-                f"""\
-                #!/bin/sh
-                for arg in "$@"; do
-                    if [ "$arg" = "-DREPRO_NO_SIMD" ]; then
-                        exec {real_cc} "$@"
-                    fi
-                done
-                echo "simulated vector-variant compile failure" >&2
-                exit 1
-                """
-            )
-        )
-        wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
-        probe = textwrap.dedent(
-            """\
-            import json
-            import numpy as np
-            from repro.core.dataset import IncompleteDataset
-            from repro.engine.backend import (
-                native_available, native_build_mode, simd_route, simd_routes,
-                use_backend,
-            )
-            from repro.engine.kernels import PreparedDataset, dominated_counts
+        """A toolchain that rejects ``target_clones`` (no ifunc) must still
+        produce a working library that keeps the thread pool: the build
+        retries with -DREPRO_NO_CLONES, reports the threads mode, and
+        answers bit-identically to numpy and to this process's build."""
+        report = _fallback_report(tmp_path, "-DREPRO_NO_CLONES")
+        assert report["mode"] == "threads"
+        assert report["answer"] == _native_answer_here()
 
-            assert native_available(), "fallback build should still load"
-            rng = np.random.default_rng(0)
-            values = rng.uniform(0, 10, size=(80, 3))
-            values[rng.uniform(size=(80, 3)) < 0.25] = np.nan
-            ds = IncompleteDataset(values.tolist())
-            answers = {}
-            for name in ("numpy", "native"):
-                with use_backend(name):
-                    prepared = PreparedDataset(ds)
-                    prepared.tables(build=True)
-                    answers[name] = dominated_counts(ds, prepared=prepared).tolist()
-            assert answers["numpy"] == answers["native"]
-            print(json.dumps({
-                "mode": native_build_mode(),
-                "route": simd_route(),
-                "routes": simd_routes(),
-            }))
-            """
-        )
-        env = dict(os.environ)
-        env.update(
-            CC=str(wrapper),
-            REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
-            PYTHONPATH=str(REPO / "src"),
-        )
-        env.pop("REPRO_NATIVE_SIMD", None)
-        env.pop("REPRO_NATIVE_THREADS", None)
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO,
-        )
-        assert result.returncode == 0, result.stderr
-        report = json.loads(result.stdout.strip().splitlines()[-1])
-        assert report["mode"] in {"threads", "portable"}
-        assert report["route"] == "scalar"
-        assert report["routes"] == ["scalar"]
+    def test_thread_compile_failure_falls_back_to_portable(self, tmp_path):
+        """A toolchain that can build neither clones nor the pthread pool
+        still yields a working, bit-identical portable library."""
+        report = _fallback_report(tmp_path, "-DREPRO_NO_THREADS")
+        assert report["mode"] == "portable"
+        assert report["answer"] == _native_answer_here()

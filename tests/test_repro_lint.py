@@ -20,7 +20,6 @@ from repro_lint.ctypes_check import (
     parse_c_signatures,
     verified_declarations,
 )
-from repro_lint.simd_check import check_simd_variants, parse_variants
 
 REPO = Path(__file__).resolve().parent.parent
 ENGINE_PATH = "src/repro/engine/session.py"  # engine-scoped fixture path
@@ -532,13 +531,13 @@ def test_real_backend_declarations_all_verified():
     assert check_ctypes_prototypes(sf) == []
 
     report = verified_declarations(backend)
-    assert len(report) == 13  # five kernels + eight SIMD/thread config calls
+    assert len(report) == 9  # five kernels + four thread/build config calls
     for entry in report:
         assert entry["py_args"] is not None, entry
         assert len(entry["py_args"]) == len(entry["c_args"]), entry
         assert entry["restype_checked"], entry
     # each argument position plus each restype is one verified declaration
-    assert sum(e["declarations"] for e in report) == 56
+    assert sum(e["declarations"] for e in report) == 50
 
 
 def test_real_backend_parses_all_exported_functions():
@@ -555,17 +554,13 @@ def test_real_backend_parses_all_exported_functions():
         "repro_get_threads",
         "repro_moved_rank_row",
         "repro_popcount_rows",
-        "repro_set_simd",
         "repro_set_thread_min_words",
         "repro_set_threads",
-        "repro_simd_best",
-        "repro_simd_level",
-        "repro_simd_supported",
         "repro_spliced_rank_row",
     ]
     # (void) parameter lists parse to empty arg tuples, not a '?void' arg
     assert sigs["repro_build_flags"]["args"] == []
-    assert sigs["repro_simd_supported"] == {"ret": "int32_t", "args": ["i32"]}
+    assert sigs["repro_set_threads"] == {"ret": "int32_t", "args": ["i32"]}
 
 
 def test_embedded_source_sha_is_stable():
@@ -593,109 +588,6 @@ def _declare(lib):
     findings = check_ctypes_prototypes(sf)
     assert codes(findings) == ["REP007"]
     assert "int32_t" in findings[0].message and "i64" in findings[0].message
-
-
-# =========================================================================
-# REP008 — SIMD variant discipline (scalar twin + dispatch wiring)
-# =========================================================================
-
-SIMD_TEMPLATE = '''
-_C_SOURCE = r"""
-__attribute__((optimize("no-tree-vectorize")))
-static void demo_kernel_scalar({scalar_params}) {{ }}
-__attribute__((target("avx2")))
-static void demo_kernel_avx2({avx2_params}) {{ }}
-typedef void (*demo_kernel_fn)(const uint64_t *, int64_t);
-static const demo_kernel_fn demo_kernel_dispatch[4] = {{
-    demo_kernel_scalar, {avx2_entry}, demo_kernel_scalar, demo_kernel_scalar,
-}};
-"""
-'''
-
-
-def _simd_findings(
-    scalar_params="const uint64_t *words, int64_t n",
-    avx2_params="const uint64_t *words, int64_t n",
-    avx2_entry="demo_kernel_avx2",
-):
-    source = SIMD_TEMPLATE.format(
-        scalar_params=scalar_params, avx2_params=avx2_params, avx2_entry=avx2_entry
-    )
-    sf = SourceFile.from_text(source, "src/repro/engine/backend.py")
-    return check_simd_variants(sf)
-
-
-def test_simd_checker_accepts_matching_family():
-    assert _simd_findings() == []
-
-
-def test_simd_checker_flags_twin_signature_drift():
-    findings = _simd_findings(avx2_params="const int64_t *words, int64_t n")
-    assert codes(findings) == ["REP008"]
-    assert "scalar twin" in findings[0].message
-
-
-def test_simd_checker_flags_twin_arity_drift():
-    findings = _simd_findings(avx2_params="const uint64_t *words")
-    assert codes(findings) == ["REP008"]
-
-
-def test_simd_checker_flags_unwired_variant():
-    findings = _simd_findings(avx2_entry="demo_kernel_scalar")
-    assert codes(findings) == ["REP008"]
-    assert "dispatch" in findings[0].message
-
-
-def test_simd_checker_flags_missing_scalar_twin():
-    source = '''
-_C_SOURCE = r"""
-__attribute__((target("avx2")))
-static void demo_kernel_avx2(const uint64_t *words, int64_t n) { }
-static const demo_kernel_fn demo_kernel_dispatch[4] = {
-    demo_kernel_avx2, demo_kernel_avx2, demo_kernel_avx2, demo_kernel_avx2,
-};
-"""
-'''
-    sf = SourceFile.from_text(source, "src/repro/engine/backend.py")
-    findings = check_simd_variants(sf)
-    assert codes(findings) == ["REP008"]
-    assert "no 'demo_kernel_scalar' twin" in findings[0].message
-
-
-def test_simd_checker_flags_missing_dispatch_table():
-    source = '''
-_C_SOURCE = r"""
-static void demo_kernel_scalar(const uint64_t *words, int64_t n) { }
-__attribute__((target("avx2")))
-static void demo_kernel_avx2(const uint64_t *words, int64_t n) { }
-static void caller(void) { demo_kernel_avx2(0, 0); }
-"""
-'''
-    sf = SourceFile.from_text(source, "src/repro/engine/backend.py")
-    findings = check_simd_variants(sf)
-    assert codes(findings) == ["REP008"]
-    assert "_dispatch" in findings[-1].message
-
-
-def test_simd_checker_silent_without_embedded_source():
-    sf = SourceFile.from_text("x = 1\n", ENGINE_PATH)
-    assert check_simd_variants(sf) == []
-
-
-def test_real_backend_simd_families_complete():
-    """Every kernel family in the real backend carries all four variants,
-    each wired into its dispatch table, and the cross-check is clean."""
-    backend = REPO / "src" / "repro" / "engine" / "backend.py"
-    sf = SourceFile.from_text(backend.read_text(), backend.as_posix())
-    assert check_simd_variants(sf) == []
-
-    from repro_lint.simd_check import _embedded_source
-
-    c_source, _ = _embedded_source(sf)
-    families = parse_variants(c_source)
-    assert sorted(families) == ["fused_bits", "fused_counts", "popcount_rows"]
-    for family, variants in families.items():
-        assert sorted(variants) == ["avx2", "avx512", "neon", "scalar"], family
 
 
 # =========================================================================
@@ -760,7 +652,6 @@ def test_cli_list_rules_covers_catalogue():
         "REP005",
         "REP006",
         "REP007",
-        "REP008",
         "REP009",
     ]:
         assert code in result.stdout

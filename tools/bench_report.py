@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 HEADLINE_SUFFIXES = ("speedup", "_ratio", "_rate", "_per_second")
-SHAPE_KEYS = ("n", "d", "k", "threads", "workers", "partitions", "cpu_count")
+SHAPE_KEYS = ("n", "d", "k", "workers", "partitions")
 
 
 def _floors(report: dict) -> dict[str, float]:

@@ -32,11 +32,6 @@ Rule catalogue (one line each; ``python -m repro_lint --list-rules``):
 * **REP007** ctypes↔C prototype drift — every embedded C signature in
   ``engine/backend.py`` is cross-checked against its declared
   ``argtypes``/``restype``; drift is silent memory corruption.
-* **REP008** SIMD variant discipline — every ``_avx2``/``_avx512``/
-  ``_neon`` kernel variant in the embedded C source must have a
-  ``_scalar`` twin with an identical signature and an entry in its
-  family's dispatch table; twin drift is UB under one function-pointer
-  type, and an unwired variant means a level still routes to old code.
 * **REP009** raw clock calls — ``time.time()``/``time.perf_counter()``
   (and friends) in the engine layer outside ``engine/telemetry.py``;
   engine timing flows through ``telemetry.clock``/``wall_clock`` so
@@ -51,7 +46,6 @@ Run as ``python -m repro_lint src tests benchmarks`` (exit 0 = clean).
 
 from .core import Finding, LintRun, lint_paths, lint_source, RULES
 from .ctypes_check import check_ctypes_prototypes, embedded_source_sha
-from .simd_check import check_simd_variants
 
 __all__ = [
     "Finding",
@@ -60,7 +54,6 @@ __all__ = [
     "lint_source",
     "RULES",
     "check_ctypes_prototypes",
-    "check_simd_variants",
     "embedded_source_sha",
     "main",
 ]

@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # ensure all rules are registered before --list-rules
-    from . import rules, lockorder, ctypes_check, simd_check  # noqa: F401
+    from . import rules, lockorder, ctypes_check  # noqa: F401
 
     if args.list_rules:
         for code in sorted(RULES):

@@ -7,19 +7,23 @@
  * into an uninstrumented interpreter required, which keeps the leg
  * portable across CPython builds that libtsan cannot be preloaded into.
  *
- * For every supported SIMD route x thread count {2, 3, 8} x kernel
- * {popcount, fused counts, fused bits} x mode {dominated, dominator}
- * x live-mask {present, absent}, the output must be byte-identical to
- * the same route at 1 thread, and every route must match the scalar
- * route (the determinism contract the Python parity suite pins against
- * numpy).  The work-size gate is forced open so even this small
- * workload takes the threaded path.
+ * For every thread count {2, 3, 8} x kernel {popcount, fused counts,
+ * fused bits} x mode {dominated, dominator} x live-mask {present,
+ * absent}, the output must be byte-identical to the 1-thread pass (the
+ * determinism contract the Python parity suite pins against numpy).
+ * The work-size gate is forced open so even this small workload takes
+ * the threaded path.
+ *
+ * The kernels are built with -DREPRO_NO_CLONES: a target_clones ifunc
+ * resolver runs during relocation, before the TSan runtime has
+ * initialised, and crashes an instrumented executable.  The clones only
+ * change the ISA of each kernel body, not the thread pool under test.
  *
  * Build (CI does exactly this):
  *   python -c "import pathlib,sys; sys.path.insert(0,'src'); \
  *     from repro.engine.backend import _C_SOURCE; \
  *     pathlib.Path('kernels_tsan.c').write_text(_C_SOURCE)"
- *   gcc -O2 -g -std=c99 -fsanitize=thread -pthread \
+ *   gcc -O2 -g -std=c99 -fsanitize=thread -pthread -DREPRO_NO_CLONES \
  *     tools/tsan_harness.c kernels_tsan.c -o tsan_harness
  *   ./tsan_harness
  */
@@ -41,8 +45,6 @@ void repro_fused_bits(const uint64_t **suffix, const uint64_t **prefix,
                       const int64_t *rank_ge, const int64_t *rank_le,
                       int64_t b, int64_t d, int64_t w, int32_t mode,
                       uint64_t *out);
-int32_t repro_simd_supported(int32_t level);
-int32_t repro_set_simd(int32_t level);
 int32_t repro_set_threads(int32_t n);
 int64_t repro_set_thread_min_words(int64_t words);
 
@@ -71,10 +73,9 @@ static void fill_ranks(int64_t *buf, size_t count) {
 static int failures = 0;
 
 static void expect_same(const void *got, const void *want, size_t bytes,
-                        const char *what, int level, int threads) {
+                        const char *what, int threads) {
     if (memcmp(got, want, bytes) != 0) {
-        fprintf(stderr, "MISMATCH: %s at simd level %d, %d thread(s)\n", what,
-                level, threads);
+        fprintf(stderr, "MISMATCH: %s at %d thread(s)\n", what, threads);
         ++failures;
     }
 }
@@ -109,84 +110,47 @@ int main(void) {
 
     repro_set_thread_min_words(0); /* tiny workload must still thread */
 
-    int routes = 0;
-    for (int32_t level = 0; level <= 3; ++level) {
-        if (!repro_simd_supported(level))
-            continue;
-        if (repro_set_simd(level) != level) {
-            fprintf(stderr, "FAIL: could not pin simd level %d\n", level);
-            return 2;
-        }
-        ++routes;
-        /* 1-thread reference for this route; level 0 (scalar) doubles as
-         * the cross-route reference because arrays persist across levels
-         * and expect_same compares against the stored scalar results. */
-        repro_set_threads(1);
-        int64_t check = 1;
+    /* 1-thread reference */
+    repro_set_threads(1);
+    for (int mode = 0; mode < 2; ++mode) {
+        for (int with_live = 0; with_live < 2; ++with_live)
+            for (int gen = 0; gen < 2; ++gen)
+                repro_fused_counts(suffix, prefix, rank_ge, rank_le,
+                                   with_live ? live : NULL, B, gen ? 5 : 4, W,
+                                   mode, cnt_ref[mode][with_live][gen]);
+        repro_fused_bits(suffix, prefix, rank_ge, rank_le, B, 4, W, mode,
+                         bits_ref[mode]);
+    }
+    repro_popcount_rows(pop_words, B, W, pop_ref);
+
+    /* threaded passes must be byte-identical to the reference */
+    for (size_t t = 0; t < sizeof(thread_counts) / sizeof(*thread_counts);
+         ++t) {
+        int threads = thread_counts[t];
+        if (repro_set_threads(threads) != threads)
+            continue; /* REPRO_NO_THREADS build: nothing to race */
         for (int mode = 0; mode < 2; ++mode) {
             for (int with_live = 0; with_live < 2; ++with_live)
                 for (int gen = 0; gen < 2; ++gen) {
-                    int64_t d = gen ? 5 : 4;
                     repro_fused_counts(suffix, prefix, rank_ge, rank_le,
-                                       with_live ? live : NULL, B, d, W,
-                                       mode, cnt_out);
-                    if (level == 0)
-                        memcpy(cnt_ref[mode][with_live][gen], cnt_out,
-                               sizeof(cnt_out));
-                    else
-                        expect_same(cnt_out, cnt_ref[mode][with_live][gen],
-                                    sizeof(cnt_out), "fused counts (1T)",
-                                    level, 1);
+                                       with_live ? live : NULL, B,
+                                       gen ? 5 : 4, W, mode, cnt_out);
+                    expect_same(cnt_out, cnt_ref[mode][with_live][gen],
+                                sizeof(cnt_out), "fused counts", threads);
                 }
             repro_fused_bits(suffix, prefix, rank_ge, rank_le, B, 4, W, mode,
                              bits_out);
-            if (level == 0)
-                memcpy(bits_ref[mode], bits_out, B * W * sizeof(uint64_t));
-            else
-                expect_same(bits_out, bits_ref[mode], B * W * sizeof(uint64_t),
-                            "fused bits (1T)", level, 1);
+            expect_same(bits_out, bits_ref[mode], B * W * sizeof(uint64_t),
+                        "fused bits", threads);
         }
         repro_popcount_rows(pop_words, B, W, pop_out);
-        if (level == 0)
-            memcpy(pop_ref, pop_out, sizeof(pop_out));
-        else
-            expect_same(pop_out, pop_ref, sizeof(pop_out), "popcount (1T)",
-                        level, 1);
-
-        /* threaded passes must be byte-identical to the reference */
-        for (size_t t = 0; t < sizeof(thread_counts) / sizeof(*thread_counts);
-             ++t) {
-            int threads = thread_counts[t];
-            if (repro_set_threads(threads) != threads)
-                continue; /* REPRO_NO_THREADS build: nothing to race */
-            for (int mode = 0; mode < 2; ++mode) {
-                for (int with_live = 0; with_live < 2; ++with_live)
-                    for (int gen = 0; gen < 2; ++gen) {
-                        repro_fused_counts(suffix, prefix, rank_ge, rank_le,
-                                           with_live ? live : NULL, B,
-                                           gen ? 5 : 4, W, mode, cnt_out);
-                        expect_same(cnt_out, cnt_ref[mode][with_live][gen],
-                                    sizeof(cnt_out), "fused counts", level,
-                                    threads);
-                    }
-                repro_fused_bits(suffix, prefix, rank_ge, rank_le, B, 4, W,
-                                 mode, bits_out);
-                expect_same(bits_out, bits_ref[mode],
-                            B * W * sizeof(uint64_t), "fused bits", level,
-                            threads);
-            }
-            repro_popcount_rows(pop_words, B, W, pop_out);
-            expect_same(pop_out, pop_ref, sizeof(pop_out), "popcount", level,
-                        threads);
-        }
-        (void)check;
+        expect_same(pop_out, pop_ref, sizeof(pop_out), "popcount", threads);
     }
 
     if (failures) {
         fprintf(stderr, "FAIL: %d mismatch(es)\n", failures);
         return 1;
     }
-    printf("tsan harness OK: %d route(s), threads {1,2,3,8}, "
-           "all byte-identical\n", routes);
+    printf("tsan harness OK: threads {1,2,3,8}, all byte-identical\n");
     return 0;
 }
