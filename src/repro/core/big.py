@@ -90,7 +90,7 @@ class BIGTKD(TKDAlgorithm):
         q_vec = self._index.q_intersection(row)
         q_vec.set(row, False)  # Q = ∩ Qi − {o}
         max_bit_score = q_vec.count()
-        if self._enable_h2 and candidates.full and max_bit_score <= candidates.tau:
+        if self._enable_h2 and not candidates.beats(max_bit_score, row):
             stats.pruned_h2 += 1
             return None
 
@@ -113,12 +113,12 @@ class BIGTKD(TKDAlgorithm):
         return g_count + l_count
 
     def _run(self, k: int, *, tie_break: str, rng, stats: QueryStats) -> tuple[Sequence[int], Sequence[int]]:
-        del tie_break, rng  # boundary ties resolved by eviction order (paper: arbitrary)
+        del tie_break, rng  # CandidateSet keeps the canonical boundary ties
         candidates = CandidateSet(k)
         n = self.dataset.n
 
         for position, index in enumerate(self._queue.tolist()):
-            if self._enable_h1 and candidates.full and self._maxscore[index] <= candidates.tau:
+            if self._enable_h1 and not candidates.beats(self._maxscore[index], index):
                 stats.pruned_h1 = n - position  # Heuristic 1
                 break
             score = self._bit_score(index, candidates, stats)

@@ -137,7 +137,7 @@ class IBIGTKD(TKDAlgorithm):
         q_vec = self._index.q_intersection(row)
         q_vec.set(row, False)
         max_bit_score = q_vec.count()
-        if self._enable_h2 and candidates.full and max_bit_score <= candidates.tau:
+        if self._enable_h2 and not candidates.beats(max_bit_score, row):
             stats.pruned_h2 += 1
             return None
 
@@ -199,7 +199,7 @@ class IBIGTKD(TKDAlgorithm):
     # -- main loop ----------------------------------------------------------------
 
     def _run(self, k: int, *, tie_break: str, rng, stats: QueryStats) -> tuple[Sequence[int], Sequence[int]]:
-        del tie_break, rng  # boundary ties resolved by eviction order (paper: arbitrary)
+        del tie_break, rng  # CandidateSet keeps the canonical boundary ties
         candidates = CandidateSet(k)
         n = self.dataset.n
         stats.extra["bin_counts"] = [self._index.bin_count(j) for j in range(self.dataset.d)]
@@ -207,7 +207,7 @@ class IBIGTKD(TKDAlgorithm):
             stats.extra["compression_ratio"] = self._store.report.ratio
 
         for position, index in enumerate(self._queue.tolist()):
-            if self._enable_h1 and candidates.full and self._maxscore[index] <= candidates.tau:
+            if self._enable_h1 and not candidates.beats(self._maxscore[index], index):
                 stats.pruned_h1 = n - position  # Heuristic 1
                 break
             score = self._bit_score(index, candidates, stats)

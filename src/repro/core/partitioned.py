@@ -167,14 +167,14 @@ class PartitionedTKD(TKDAlgorithm):
     def _run(
         self, k: int, *, tie_break: str, rng, stats: QueryStats
     ) -> tuple[Sequence[int], Sequence[int]]:
-        del tie_break, rng  # boundary ties resolved by eviction order, as in UBB
+        del tie_break, rng  # CandidateSet keeps the canonical boundary ties
         candidates = CandidateSet(k)
         n = self.dataset.n
         stats.extra["partition_rows"] = self.partition_rows
         stats.extra["partitions"] = len(self._synopses)
 
         for position, index in enumerate(self._queue.tolist()):
-            if self._enable_h1 and candidates.full and self._maxscore[index] <= candidates.tau:
+            if self._enable_h1 and not candidates.beats(self._maxscore[index], index):
                 stats.pruned_h1 = n - position
                 break
             score = self._streaming_score(index, stats)

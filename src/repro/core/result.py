@@ -71,33 +71,32 @@ def select_top_k(
     # Scores may be ints (Definition 2) or floats (MFD weighting) — never
     # truncate them in the ordering key.
     if tie_break == "index":
-        order = sorted(candidates.tolist(), key=lambda i: (-float(scores[i]), i))
-        return order[:k]
+        keys = -scores[candidates].astype(np.float64)
+        return candidates[np.lexsort((candidates, keys))[:k]].tolist()
 
     rng = coerce_rng(rng)
-    perm = rng.permutation(candidates.size)
-    shuffled = candidates[perm]
-    order = sorted(range(shuffled.size), key=lambda pos: (-float(scores[shuffled[pos]]), pos))
-    return [int(shuffled[pos]) for pos in order[:k]]
+    shuffled = candidates[rng.permutation(candidates.size)]
+    keys = -scores[shuffled].astype(np.float64)
+    return shuffled[np.argsort(keys, kind="stable")[:k]].tolist()
 
 
 class CandidateSet:
     """The ``S_C``/τ maintenance of Algorithm 2 (lines 7–11).
 
-    Keeps at most ``k`` (index, score) candidates. ``tau`` is the paper's
-    ``τ``: the minimum score in a *full* candidate set, or ``-1`` while the
-    set holds fewer than ``k`` objects. When a better candidate arrives and
-    the set is full, one object with score ``τ`` is evicted (the paper
-    leaves the choice arbitrary; we evict the earliest-inserted one, which
-    is deterministic).
+    Keeps the ``k`` best (index, score) candidates offered so far, ranked
+    by the canonical answer order: higher score first, then lower index.
+    ``tau`` is the paper's ``τ``: the minimum score in a *full* candidate
+    set, or ``-1`` while the set holds fewer than ``k`` objects. Where the
+    paper evicts "any" τ-tied candidate, this set evicts the highest
+    index, so every loop built on it returns the canonical
+    ``tie_break="index"`` answer.
     """
 
     def __init__(self, k: int) -> None:
         if k <= 0:
             raise InvalidParameterError(f"CandidateSet needs k >= 1, got {k}")
         self.k = int(k)
-        self._heap: list[tuple[int, int, int]] = []  # (score, insertion_seq, index)
-        self._seq = 0
+        self._heap: list[tuple[int, int]] = []  # (score, -index): heap[0] ranks last
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -114,25 +113,35 @@ class CandidateSet:
             return -1
         return self._heap[0][0]
 
+    def beats(self, bound, row: int) -> bool:
+        """Could *row*, scoring at most *bound*, still enter the set?
+
+        The one comparison every prune asks (Heuristics 1 and 2): false
+        means *row* ranks behind every held candidate even at its bound.
+        Heuristic 1 may stop a whole queue on it because every queue
+        orders equal bounds by ascending row (``maxscore_queue``'s stable
+        argsort, the index backends' lexsort), so nothing behind the
+        head can rank ahead of it.
+        """
+        return not self.full or (bound, -row) > self._heap[0]
+
     def offer(self, index: int, score: int) -> bool:
         """Apply Algorithm 2 lines 7–11 for one scored object.
 
         Returns True iff the object was enrolled into ``S_C``.
         """
-        if not self.full:
-            heapq.heappush(self._heap, (int(score), self._seq, int(index)))
-            self._seq += 1
-            return True
-        if score > self.tau:
-            heapq.heappushpop(self._heap, (int(score), self._seq, int(index)))
-            self._seq += 1
-            return True
-        return False
+        if not self.beats(score, index):
+            return False
+        entry = (int(score), -int(index))
+        if self.full:
+            heapq.heappushpop(self._heap, entry)
+        else:
+            heapq.heappush(self._heap, entry)
+        return True
 
     def items(self) -> list[tuple[int, int]]:
-        """Current ``(index, score)`` pairs ordered by descending score."""
-        ordered = sorted(self._heap, key=lambda t: (-t[0], t[2]))
-        return [(idx, score) for score, _seq, idx in ordered]
+        """Current ``(index, score)`` pairs in canonical answer order."""
+        return [(-neg, score) for score, neg in sorted(self._heap, reverse=True)]
 
 
 @dataclass
@@ -189,9 +198,10 @@ class TKDResult:
     def score_multiset(self) -> tuple[int, ...]:
         """Sorted (descending) tuple of returned scores.
 
-        Because tie-breaking is arbitrary by design, *this* is the
-        algorithm-independent invariant: every correct TKD algorithm must
-        return the same score multiset for the same ``(S, k)``.
+        The invariant that survives ``tie_break="random"``: every correct
+        TKD answer for the same ``(S, k)`` has the same score multiset.
+        Under ``tie_break="index"`` every exact route agrees on the ids
+        too, so compare ``indices`` and ``scores`` there instead.
         """
         return tuple(sorted(self.scores, reverse=True))
 

@@ -71,7 +71,7 @@ class UBBTKD(TKDAlgorithm):
         return self._queue
 
     def _run(self, k: int, *, tie_break: str, rng, stats: QueryStats) -> tuple[Sequence[int], Sequence[int]]:
-        del tie_break, rng  # boundary ties are resolved by eviction order (paper: arbitrary)
+        del tie_break, rng  # CandidateSet keeps the canonical boundary ties
         dataset = self.dataset
         candidates = CandidateSet(k)
         n = dataset.n
@@ -80,7 +80,7 @@ class UBBTKD(TKDAlgorithm):
             self._run_blocked(candidates, stats)
         else:
             for position, index in enumerate(self._queue.tolist()):
-                if self._enable_h1 and candidates.full and self._maxscore[index] <= candidates.tau:
+                if self._enable_h1 and not candidates.beats(self._maxscore[index], index):
                     stats.pruned_h1 = n - position  # Heuristic 1: head + everything behind it
                     break
                 score = score_one(dataset, index)
@@ -105,7 +105,7 @@ class UBBTKD(TKDAlgorithm):
             chunk = self._queue[start : start + self._block]
             chunk_scores = dominated_counts(self.dataset, chunk, block=chunk.size)
             for offset, index in enumerate(chunk.tolist()):
-                if self._enable_h1 and candidates.full and self._maxscore[index] <= candidates.tau:
+                if self._enable_h1 and not candidates.beats(self._maxscore[index], index):
                     stats.pruned_h1 = n - (start + offset)  # Heuristic 1
                     return
                 stats.scores_computed += 1

@@ -31,11 +31,9 @@ caller reports the structure as already prepared (the
 over ``repeats`` expected queries otherwise.
 
 The chosen plan is *always exact* — every registered algorithm returns
-the same score multiset for the same ``(S, k)``. As everywhere in the
-library, tie-breaking at the k-th score boundary is arbitrary by design
-(paper: "random selection"), so *which* of several boundary-tied objects
-is returned may differ between planned algorithms; the score multiset is
-the invariant.
+the same canonical answer for the same ``(S, k)`` under
+``tie_break="index"`` (scores descending, then lowest index), so the
+choice changes only the cost, never the ids.
 """
 
 from __future__ import annotations

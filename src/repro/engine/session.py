@@ -65,13 +65,13 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, UnknownAlgorithmError
 from ._lockcheck import make_lock
 from .backend import SharedTables, select_backend, set_native_threads
 from .kernels import (
@@ -112,6 +112,10 @@ _SHARED_CACHE_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Cache-miss sentinel: ``None`` (or any falsy value) must be storable.
 _MISSING = object()
+
+#: Store label of every session answer: all routes return the one
+#: canonical answer, so it is stored once per (fingerprint, k).
+_RESULT_LABEL = "tkd"
 
 #: Change-event window a :class:`ContinuousQuery` keeps for its cached
 #: selections; entries older than the window fall back to an exact
@@ -242,26 +246,12 @@ class EngineStats:
 
     def merge(self, other: "EngineStats") -> None:
         """Fold another engine's counters in (used by parallel query_many)."""
-        self.queries += other.queries
-        self.result_hits += other.result_hits
-        self.result_misses += other.result_misses
-        self.prepared_hits += other.prepared_hits
-        self.prepared_misses += other.prepared_misses
-        self.evictions += other.evictions
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-        self.store_writes += other.store_writes
-        self.deltas_applied += other.deltas_applied
-        self.tables_patched += other.tables_patched
-        self.tables_rebuilt += other.tables_rebuilt
-        self.incremental_hits += other.incremental_hits
-        self.prepared_loaded += other.prepared_loaded
-        self.prepared_patched_forward += other.prepared_patched_forward
-        self.partitioned_queries += other.partitioned_queries
-        self.spilled_queries += other.spilled_queries
-        self.repartitions += other.repartitions
-        # A gauge, not a counter: keep the worst skew either side saw.
-        self.partition_imbalance = max(self.partition_imbalance, other.partition_imbalance)
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            # partition_imbalance is a gauge, not a counter: keep the worst
+            # skew either side saw.
+            merged = max(mine, theirs) if spec.name == "partition_imbalance" else mine + theirs
+            setattr(self, spec.name, merged)
 
     def summary(self) -> str:
         text = (
@@ -1078,19 +1068,6 @@ class QueryEngine:
         """
         return ContinuousQuery(self, dataset, k=k)
 
-    def result_key(self, dataset, k: int, algorithm: str, **options) -> tuple:
-        """The result-cache/store key of one deterministic query.
-
-        Exposed so out-of-band writers (the experiment harness) can
-        address the same persistent entries :meth:`query` reads.
-        """
-        return (
-            self.fingerprint(dataset),
-            int(k),
-            algorithm.lower(),
-            _options_key(options),
-        )
-
     def prepared(self, dataset, algorithm: str, **options):
         """Fetch (or build and cache) a prepared algorithm instance."""
         from ..core.query import make_algorithm  # deferred: core imports the engine
@@ -1133,17 +1110,17 @@ class QueryEngine:
         ``partitions=P`` (P ≥ 2) answers through the two-phase
         partitioned protocol (:mod:`repro.engine.partition`): the data is
         sharded, each shard prepared under its own cache/store key, and
-        only phase-1 survivors are exchanged — bit-identical to the
-        monolithic answer under deterministic tie-breaking.
+        only phase-1 survivors are exchanged.
         ``partitions="auto"`` lets :func:`~repro.engine.planner.plan_partitioned`
         price the protocol against the best monolithic algorithm first.
         ``workers=N`` fans the shards out over a process pool (requires
         ``partitions``; in-process otherwise).
 
-        With a :attr:`store`, cacheable misses fall through to the
-        persistent layer before executing anything, and computed answers
-        are written back with their measured cost (feeding the store's
-        cost-aware eviction).
+        Under ``tie_break="index"`` every route returns the same canonical
+        answer, so the result cache (and the :attr:`store`, when set) holds
+        one entry per ``(dataset fingerprint, k)``. It is consulted before
+        anything is planned or executed; computed answers are written back
+        with their measured cost (feeding the store's cost-aware eviction).
 
         When this session has incrementally maintained scores for the
         dataset's version (:meth:`apply_delta`, :meth:`scores`,
@@ -1154,33 +1131,99 @@ class QueryEngine:
         computes them once (exact fallback) and maintains them from then
         on.
         """
-        if partitions is not None:
-            return self._query_partitioned(
-                dataset, k, partitions=partitions, workers=workers, tie_break=tie_break, rng=rng
+        from ..core.query import ALGORITHMS  # deferred: core imports the engine
+
+        if algorithm.lower() not in (*ALGORITHMS, "auto", "incremental"):
+            raise UnknownAlgorithmError(
+                f"unknown algorithm {algorithm!r}; available: {', '.join(ALGORITHMS)}"
             )
+        if isinstance(partitions, str):
+            if partitions.lower() != "auto":
+                raise InvalidParameterError(
+                    f"partitions must be an integer or 'auto', got {partitions!r}"
+                )
+        elif partitions is not None and int(partitions) < 1:
+            raise InvalidParameterError(f"partitions must be >= 1, got {partitions}")
         if workers is not None:
-            raise InvalidParameterError(
-                "query(workers=N) needs partitions=; use query_many for batch sharding"
-            )
+            if partitions is None:
+                raise InvalidParameterError(
+                    "query(workers=N) needs partitions=; use query_many for batch sharding"
+                )
+            if int(workers) < 1:
+                raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         with telemetry.trace("engine.query") as root:
             root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
-            return self._query_monolithic(
-                dataset,
-                k,
-                root,
-                algorithm=algorithm,
-                tie_break=tie_break,
-                rng=rng,
-                repeats=repeats,
-                options=options,
-            )
+            with self._lock:
+                self.stats.queries += 1
+            key = self._result_key(dataset, k) if tie_break == "index" else None
+            result = None if key is None else self._cached_result(key, root)
+            if result is not None:
+                return result
+            if partitions is not None:
+                partitions = self._resolve_partitions(dataset, k, partitions, workers)
+            if partitions is None:
+                result, elapsed = self._query_monolithic(
+                    dataset,
+                    k,
+                    root,
+                    algorithm=algorithm,
+                    tie_break=tie_break,
+                    rng=rng,
+                    repeats=repeats,
+                    options=options,
+                )
+            else:
+                result, elapsed = self._execute_partitioned(
+                    dataset,
+                    k,
+                    root,
+                    partitions=partitions,
+                    workers=workers,
+                    tie_break=tie_break,
+                    rng=rng,
+                )
+            if key is not None:
+                self._remember_result(key, result, elapsed)
+            return result
+
+    def _result_key(self, dataset, k) -> tuple:
+        """The result-cache key: one canonical answer per dataset and k."""
+        from ..core.result import validate_k  # deferred: core imports the engine
+
+        return self.fingerprint(dataset), validate_k(k, dataset.n)
+
+    def _cached_result(self, key: tuple, span=None):
+        """The answer held for *key* in memory, else in the store, else None.
+
+        Counts the hit or miss, promotes a store hit into memory and tags
+        *span* with where the answer came from.
+        """
+        with self._lock:
+            cached = self._results.get(key, _MISSING)
+            if cached is not _MISSING:
+                self.stats.result_hits += 1
+                if span is not None:
+                    span.set("cache", "memory")
+                return cached
+            self.stats.result_misses += 1
+        if self._store is None:
+            return None
+        with telemetry.trace("store.read"):
+            stored = self._store.get_result(*key, _RESULT_LABEL)
+        with self._lock:
+            if stored is None:
+                self.stats.store_misses += 1
+                return None
+            self.stats.store_hits += 1
+            self.stats.evictions += self._results.put(key, stored)
+        if span is not None:
+            span.set("cache", "store")
+        return stored
 
     def _query_monolithic(
         self, dataset, k: int, root, *, algorithm, tie_break, rng, repeats, options
     ):
-        """The single-process :meth:`query` body, inside the *root* span."""
-        with self._lock:
-            self.stats.queries += 1
+        """The single-process :meth:`query` route: ``(result, seconds)``."""
         plan = None
         if algorithm.lower() == "auto":
             with self._lock:
@@ -1190,35 +1233,6 @@ class QueryEngine:
             else:
                 plan = self.plan(dataset, k, repeats=repeats)
                 algorithm, options = self._apply_plan(plan, options)
-
-        cacheable = tie_break == "index"
-        result_key = None
-        if cacheable:
-            result_key = (
-                self.fingerprint(dataset),
-                int(k),
-                algorithm.lower(),
-                _options_key(options),
-            )
-            with self._lock:
-                cached = self._results.get(result_key, _MISSING)
-                if cached is not _MISSING:
-                    self.stats.result_hits += 1
-                    root.set("cache", "memory")
-                    return cached
-                self.stats.result_misses += 1
-            if self._store is not None:
-                with telemetry.trace("store.read"):
-                    stored = self._store.get_result(*result_key)
-                with self._lock:
-                    if stored is not None:
-                        self.stats.store_hits += 1
-                        self.stats.evictions += self._results.put(result_key, stored)
-                    else:
-                        self.stats.store_misses += 1
-                if stored is not None:
-                    root.set("cache", "store")
-                    return stored
 
         # Time preparation + query together: the plan's estimate charges
         # preparation exactly when this session has not prepared the
@@ -1249,22 +1263,20 @@ class QueryEngine:
             record_observation(plan.algorithm, plan.estimated_seconds, elapsed)
             root.set("estimated_seconds", plan.estimated_seconds)
             root.set("measured_seconds", elapsed)
-        if cacheable:
-            self._remember_result(result_key, result, elapsed)
-        return result
+        return result, elapsed
 
-    def _remember_result(self, result_key: tuple, result, elapsed: float) -> None:
+    def _remember_result(self, key: tuple, result, elapsed: float) -> None:
         """Cache a fresh answer in memory and write it to the store —
         buffered while :meth:`_batched_store_writes` is in effect."""
         with self._lock:
-            self.stats.evictions += self._results.put(result_key, result)
+            self.stats.evictions += self._results.put(key, result)
         if self._store is None:
             return
         item = {
-            "fingerprint": result_key[0],
-            "k": result_key[1],
-            "algorithm": result_key[2],
-            "options_key": result_key[3],
+            "fingerprint": key[0],
+            "k": key[1],
+            "algorithm": _RESULT_LABEL,
+            "options_key": (),
             "result": result,
             "rebuild_seconds": elapsed,
         }
@@ -1277,10 +1289,32 @@ class QueryEngine:
             with telemetry.trace("store.write"):
                 self._store.put_result(**item)
 
-    def _query_partitioned(
-        self, dataset, k: int, *, partitions, workers, tie_break: str, rng
+    def _resolve_partitions(self, dataset, k: int, partitions, workers):
+        """The shard count of a ``query(partitions=...)`` call, or ``None``
+        when ``partitions="auto"`` prices the monolithic route cheaper.
+        """
+        if not isinstance(partitions, str):
+            return int(partitions)
+        from .planner import plan_partitioned
+
+        plan = plan_partitioned(
+            dataset.n,
+            dataset.d,
+            dataset.missing_rate,
+            k,
+            workers=workers,
+            memory_budget=self.memory_budget,
+        )
+        # The plan may have priced a pool, but a pool is never spawned
+        # unless the caller asked for one: "in-process otherwise" holds for
+        # "auto" too (and keeps this safe to call from daemonic workers
+        # that cannot fork children).
+        return plan.partitions if plan.action == "partition" else None
+
+    def _execute_partitioned(
+        self, dataset, k: int, root, *, partitions, workers, tie_break, rng
     ):
-        """The ``query(partitions=...)`` route: shard, bound, exchange.
+        """The partitioned :meth:`query` route: ``(result, seconds)``.
 
         The partitioned view is cached per dataset fingerprint (and
         advanced by :meth:`apply_delta`), each shard's
@@ -1289,89 +1323,15 @@ class QueryEngine:
         store as every other deterministic query — a partitioned answer
         is bit-identical to the monolithic one, so they share entries.
         """
-        from .planner import plan_partitioned
-
-        if workers is not None and int(workers) < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-
-        if isinstance(partitions, str):
-            if partitions.lower() != "auto":
-                raise InvalidParameterError(
-                    f"partitions must be an integer or 'auto', got {partitions!r}"
-                )
-            plan = plan_partitioned(
-                dataset.n,
-                dataset.d,
-                dataset.missing_rate,
-                k,
-                workers=workers,
-                memory_budget=self.memory_budget,
-            )
-            if plan.action != "partition":
-                return self.query(dataset, k, tie_break=tie_break, rng=rng)
-            partitions = plan.partitions
-            # The plan may have priced a pool, but a pool is never
-            # spawned unless the caller asked for one: "in-process
-            # otherwise" holds for "auto" too (and keeps this safe to
-            # call from daemonic workers that cannot fork children).
-
-        with telemetry.trace("engine.query") as root:
-            root.set("route", "partitioned").set("n", dataset.n).set("d", dataset.d)
-            root.set("k", int(k))
-            if workers is not None:
-                root.set("workers", int(workers))
-            return self._execute_partitioned(
-                dataset,
-                k,
-                root,
-                partitions=partitions,
-                workers=workers,
-                tie_break=tie_break,
-                rng=rng,
-            )
-
-    def _execute_partitioned(
-        self, dataset, k: int, root, *, partitions, workers, tie_break, rng
-    ):
-        """The partitioned :meth:`query` body, inside the *root* span."""
         from .partition import PartitionedDataset, execute_partitioned
 
+        root.set("route", "partitioned")
+        if workers is not None:
+            root.set("workers", int(workers))
         with self._lock:
-            self.stats.queries += 1
             self.stats.partitioned_queries += 1
         fingerprint = self.fingerprint(dataset)
-        cacheable = tie_break == "index"
-        # The cache label is distinct from the *registry* algorithm
-        # "partitioned" (core.partitioned.PartitionedTKD): that one
-        # resolves boundary ties by candidate-set eviction order, this
-        # route by index-deterministic selection — same multiset, not
-        # always the same ids, so they must never share cached answers.
-        result_key = (fingerprint, int(k), "partitioned:engine", _options_key({}))
-        if cacheable:
-            with self._lock:
-                cached = self._results.get(result_key, _MISSING)
-                if cached is not _MISSING:
-                    self.stats.result_hits += 1
-                    root.set("cache", "memory")
-                    return cached
-                self.stats.result_misses += 1
-            if self._store is not None:
-                with telemetry.trace("store.read"):
-                    stored = self._store.get_result(*result_key)
-                with self._lock:
-                    if stored is not None:
-                        self.stats.store_hits += 1
-                        self.stats.evictions += self._results.put(result_key, stored)
-                    else:
-                        self.stats.store_misses += 1
-                if stored is not None:
-                    root.set("cache", "store")
-                    return stored
-
-        requested = int(partitions)
-        if requested < 1:
-            raise InvalidParameterError(f"partitions must be >= 1, got {partitions}")
-        clamped = min(requested, dataset.n)
+        clamped = min(partitions, dataset.n)
         root.set("partitions", clamped)
         with self._lock:
             view = self._partitioned.get(fingerprint, _MISSING)
@@ -1430,9 +1390,7 @@ class QueryEngine:
             registry = telemetry.metrics()
             registry.count("engine.partitioned_queries")
             registry.observe("engine.query_seconds", elapsed)
-        if cacheable:
-            self._remember_result(result_key, result, elapsed)
-        return result
+        return result, elapsed
 
     def _incremental_result(self, dataset, k: int, *, tie_break: str, rng):
         """Answer one query from the maintained score vector (exact)."""
@@ -1556,43 +1514,14 @@ class QueryEngine:
         results: list = [None] * len(resolved)
         pending: list[int] = []
         keys: list[tuple | None] = [None] * len(resolved)
-        for position, (dataset, k, request_algorithm, options) in enumerate(resolved):
+        for position, (dataset, k, _algorithm, options) in enumerate(resolved):
             with self._lock:
                 self.stats.queries += 1
-            tie_break = options.get("tie_break", "index")
-            if tie_break == "index":
-                # Mirror query(): tie_break/rng/repeats bind to named
-                # parameters there and never reach the cache key.
-                constructor_options = {
-                    name: value
-                    for name, value in options.items()
-                    if name not in ("tie_break", "rng", "repeats")
-                }
-                keys[position] = (
-                    self.fingerprint(dataset),
-                    int(k),
-                    request_algorithm.lower(),
-                    _options_key(constructor_options),
-                )
-                with self._lock:
-                    cached = self._results.get(keys[position], _MISSING)
-                    if cached is not _MISSING:
-                        self.stats.result_hits += 1
-                        results[position] = cached
-                        continue
-                    # Mirror query(): only cacheable queries count hits/misses.
-                    self.stats.result_misses += 1
-                if self._store is not None:
-                    stored = self._store.get_result(*keys[position])
-                    with self._lock:
-                        if stored is not None:
-                            self.stats.store_hits += 1
-                            self.stats.evictions += self._results.put(keys[position], stored)
-                        else:
-                            self.stats.store_misses += 1
-                    if stored is not None:
-                        results[position] = stored
-                        continue
+            if options.get("tie_break", "index") == "index":
+                keys[position] = self._result_key(dataset, k)
+                results[position] = self._cached_result(keys[position])
+                if results[position] is not None:
+                    continue
             pending.append(position)
 
         if pending:

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from ..core.dataset import IncompleteDataset
 from ..core.query import make_algorithm
 from ..datasets.loader import load_dataset
+from ..engine.session import _options_key
 
 __all__ = ["PaperDefaults", "PAPER", "env_scale", "DatasetCache", "time_algorithm", "run_query_series"]
 
@@ -170,7 +171,9 @@ def time_algorithm(
     store = engine.store if engine is not None else None
     key = None
     if store is not None:
-        key = engine.result_key(dataset, k, algorithm, **options)
+        # One timing row per algorithm and options; session answers live
+        # under their own route-independent key.
+        key = (engine.fingerprint(dataset), int(k), algorithm.lower(), _options_key(options))
         entry = store.get_entry(*key)
         if entry is not None and "query_s" in entry[1]:
             result, meta = entry

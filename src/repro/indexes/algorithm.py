@@ -96,12 +96,12 @@ class IndexBackedTKD(TKDAlgorithm):
     def _run(
         self, k: int, *, tie_break: str, rng, stats: QueryStats
     ) -> tuple[Sequence[int], Sequence[int]]:
-        del tie_break, rng  # boundary ties resolved by eviction order, as in UBB
+        del tie_break, rng  # CandidateSet keeps the canonical boundary ties
         candidates = CandidateSet(k)
         n = self.dataset.n
 
         for position, row in enumerate(self._queue.tolist()):
-            if self._enable_h1 and candidates.full and self._bounds[row] <= candidates.tau:
+            if self._enable_h1 and not candidates.beats(self._bounds[row], row):
                 stats.pruned_h1 = n - position
                 break
             candidate_rows = self.index.candidate_rows(row)

@@ -1,9 +1,9 @@
-"""Cross-algorithm agreement: all five algorithms answer identically.
+"""Cross-algorithm agreement: every exact route returns one answer.
 
-Because tie-breaking at the k-th score is arbitrary by design (the paper
-uses random selection), the algorithm-independent invariant is the
-*score multiset* of the returned k objects — plus the fact that every
-returned object's exact score matches its claimed score.
+The paper breaks ties at the k-th score arbitrarily; this library fixes
+them (``tie_break="index"``: score descending, then lowest index), so
+every algorithm and every engine route must return exactly ``naive``'s
+ids and scores, not just the same score multiset.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import top_k_dominating
+from repro import QueryEngine, top_k_dominating
 from repro.core.dataset import IncompleteDataset
+from repro.core.query import ALGORITHMS as REGISTRY
 from repro.core.score import score_all, score_one
+from repro.engine.session import PreparedDatasetCache
 
 ALGORITHMS = ("naive", "esb", "ubb", "big", "ibig")
 
@@ -44,22 +46,26 @@ def incomplete_datasets(draw, max_n=28, max_d=4, max_value=5):
     return IncompleteDataset(cells)
 
 
+def assert_same_answer(got, want, label=""):
+    assert got.indices == want.indices, label
+    assert got.scores == want.scores, label
+
+
 class TestAgreementOnRandomData:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_score_multisets_match(self, make_incomplete, seed, k):
         ds = make_incomplete(60, 4, missing_rate=0.35, cardinality=8, seed=seed)
-        reference = top_k_dominating(ds, k, algorithm="naive").score_multiset
+        reference = top_k_dominating(ds, k, algorithm="naive")
         for algorithm in ALGORITHMS[1:]:
-            got = top_k_dominating(ds, k, algorithm=algorithm).score_multiset
-            assert got == reference, algorithm
+            assert_same_answer(top_k_dominating(ds, k, algorithm=algorithm), reference, algorithm)
 
     @pytest.mark.parametrize("missing_rate", [0.0, 0.1, 0.5, 0.8])
     def test_across_missing_rates(self, make_incomplete, missing_rate):
         ds = make_incomplete(50, 4, missing_rate=missing_rate, seed=11)
-        reference = top_k_dominating(ds, 5, algorithm="naive").score_multiset
+        reference = top_k_dominating(ds, 5, algorithm="naive")
         for algorithm in ALGORITHMS[1:]:
-            assert top_k_dominating(ds, 5, algorithm=algorithm).score_multiset == reference
+            assert_same_answer(top_k_dominating(ds, 5, algorithm=algorithm), reference, algorithm)
 
     def test_with_max_directions(self):
         rng = np.random.default_rng(1)
@@ -68,17 +74,17 @@ class TestAgreementOnRandomData:
         values[holes] = np.nan
         values[np.isnan(values).all(axis=1), 0] = 5.0
         ds = IncompleteDataset(values, directions="max")
-        reference = top_k_dominating(ds, 4, algorithm="naive").score_multiset
+        reference = top_k_dominating(ds, 4, algorithm="naive")
         for algorithm in ALGORITHMS[1:]:
-            assert top_k_dominating(ds, 4, algorithm=algorithm).score_multiset == reference
+            assert_same_answer(top_k_dominating(ds, 4, algorithm=algorithm), reference, algorithm)
 
     def test_with_heavy_duplicates(self):
         rng = np.random.default_rng(2)
         values = rng.integers(1, 3, size=(50, 3)).astype(float)  # tiny domain
         ds = IncompleteDataset(values)
-        reference = top_k_dominating(ds, 6, algorithm="naive").score_multiset
+        reference = top_k_dominating(ds, 6, algorithm="naive")
         for algorithm in ALGORITHMS[1:]:
-            assert top_k_dominating(ds, 6, algorithm=algorithm).score_multiset == reference
+            assert_same_answer(top_k_dominating(ds, 6, algorithm=algorithm), reference, algorithm)
 
 
 class TestReturnedScoresAreExact:
@@ -107,6 +113,30 @@ class TestHypothesisAgreement:
         for algorithm in ALGORITHMS[1:]:
             got = top_k_dominating(ds, k, algorithm=algorithm).score_multiset
             assert got == reference, algorithm
+
+    @given(incomplete_datasets(), st.integers(1, 8), st.integers(0, 27))
+    @settings(max_examples=60, deadline=None)
+    def test_every_route_matches_naive(self, ds, k, copied):
+        """The differential oracle: every registered algorithm and the
+        engine's auto, partitioned and incremental routes return naive's
+        exact ids and scores."""
+        reference = top_k_dominating(ds, k, algorithm="naive")
+        for algorithm in REGISTRY:
+            assert_same_answer(top_k_dominating(ds, k, algorithm=algorithm), reference, algorithm)
+
+        def engine():
+            return QueryEngine(dataset_cache=PreparedDatasetCache())
+
+        assert_same_answer(engine().query(ds, k), reference, "auto")
+        assert_same_answer(engine().query(ds, k, partitions=2), reference, "partitions=2")
+
+        # Inserting a copy of an existing row adds a tie on purpose.
+        live = engine()
+        live.scores(ds)
+        child = live.insert(ds, [ds.values[copied % ds.n]])
+        got = live.query(child, k)
+        assert got.algorithm == "incremental"
+        assert_same_answer(got, top_k_dominating(child, k, algorithm="naive"), "incremental")
 
     @given(incomplete_datasets(max_n=20), st.integers(1, 4), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)

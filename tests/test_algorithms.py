@@ -76,9 +76,13 @@ class TestUBB:
     def test_early_termination_prunes(self, fig3_dataset):
         result = UBBTKD(fig3_dataset).query(2)
         stats = result.stats
-        # Example 2: C2 and A2 evaluated, B2 triggers Heuristic 1.
-        assert stats.scores_computed == 2
-        assert stats.pruned_h1 == fig3_dataset.n - 2
+        # Example 2: C2 and A2 evaluated, giving tau = 16. The paper stops
+        # at B2 (MaxScore 16 <= tau), but B2 at row 6 would outrank the
+        # tau-tied C2 at row 11 under the lowest-index tie rule, so it is
+        # scored too; Heuristic 1 then fires at B1 (MaxScore 15).
+        assert stats.scores_computed == 3
+        assert stats.pruned_h1 == fig3_dataset.n - 3
+        assert result.ids == ["A2", "C2"]
 
     def test_no_termination_when_k_equals_n(self, fig3_dataset):
         result = UBBTKD(fig3_dataset).query(fig3_dataset.n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -300,6 +301,17 @@ class TestEngineIntegration:
         a.merge(b)
         assert (a.store_hits, a.store_misses, a.store_writes) == (3, 1, 4)
         assert "store" in a.summary()
+        # Every counter gets a distinct value on each side, so a field the
+        # merge skipped (or folded into another) shows up as a wrong sum.
+        names = [spec.name for spec in dataclasses.fields(EngineStats)]
+        counters = [name for name in names if name != "partition_imbalance"]
+        left = EngineStats(**{name: 1 + i for i, name in enumerate(counters)})
+        right = EngineStats(**{name: 100 * (1 + i) for i, name in enumerate(counters)})
+        left.partition_imbalance, right.partition_imbalance = 1.5, 1.25
+        left.merge(right)
+        for i, name in enumerate(counters):
+            assert getattr(left, name) == 101 * (1 + i), name
+        assert left.partition_imbalance == 1.5  # a gauge: max, not sum
 
     def test_stored_answers_match_one_shot_api(self, tmp_path, make_incomplete):
         ds = make_incomplete(70, 5, missing_rate=0.3, seed=4)

@@ -58,6 +58,34 @@ class TestSelectTopK:
         with pytest.raises(InvalidParameterError):
             select_top_k(np.array([1]), 1, tie_break="coin-flip")
 
+    @staticmethod
+    def _sorted_reference(scores, k, tie_break, rng, eligible):
+        """The original pure-Python selection, kept as the oracle."""
+        scores = np.asarray(scores)
+        candidates = np.flatnonzero(eligible) if eligible is not None else np.arange(scores.size)
+        k = min(k, candidates.size)
+        if tie_break == "index":
+            return sorted(candidates.tolist(), key=lambda i: (-float(scores[i]), i))[:k]
+        shuffled = candidates[np.random.default_rng(rng).permutation(candidates.size)]
+        order = sorted(range(shuffled.size), key=lambda pos: (-float(scores[shuffled[pos]]), pos))
+        return [int(shuffled[pos]) for pos in order[:k]]
+
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_matches_sorted_reference_on_heavy_ties(self, tie_break, kind):
+        rng = np.random.default_rng([7, kind == "float"])
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            scores = rng.integers(0, 4, size=n)
+            if kind == "float":
+                scores = scores * 0.25 + rng.choice([0.0, 1e-9], size=n)
+            eligible = rng.random(n) < 0.6 if trial % 2 else None
+            k = int(rng.integers(1, n + 2))
+            got = select_top_k(scores, k, tie_break=tie_break, rng=trial, eligible=eligible)
+            want = self._sorted_reference(scores, k, tie_break, trial, eligible)
+            assert got == want
+            assert all(type(i) is int for i in got)
+
 
 class TestCandidateSet:
     def test_tau_is_minus_one_until_full(self):
@@ -92,6 +120,27 @@ class TestCandidateSet:
     def test_invalid_k(self):
         with pytest.raises(InvalidParameterError):
             CandidateSet(0)
+
+    def test_tau_ties_keep_the_lowest_index(self):
+        cand = CandidateSet(2)
+        assert cand.beats(0, 99)  # anything enters a set that is not full
+        cand.offer(9, 5)
+        cand.offer(7, 5)
+        assert not cand.beats(5, 10)  # ranks behind both held rows
+        assert cand.beats(5, 8)  # ranks ahead of row 9
+        assert cand.offer(3, 5)  # evicts row 9, the highest index at tau
+        assert cand.items() == [(3, 5), (7, 5)]
+
+    def test_matches_canonical_order_in_any_offer_order(self):
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            k = int(rng.integers(1, 6))
+            stream = rng.integers(0, 4, size=40)
+            cand = CandidateSet(k)
+            for idx in rng.permutation(stream.size).tolist():
+                cand.offer(idx, int(stream[idx]))
+            want = sorted(range(stream.size), key=lambda i: (-stream[i], i))[:k]
+            assert cand.items() == [(i, int(stream[i])) for i in want]
 
     def test_matches_sorted_oracle_on_random_streams(self):
         rng = np.random.default_rng(0)
