@@ -230,47 +230,94 @@ class ShardSummary:
         )
 
     def upper_bound_counts(
-        self, probe_lo: np.ndarray, probe_hi: np.ndarray | None = None
+        self, probe_lo: "np.ndarray | _Probes", probe_hi: np.ndarray | None = None
     ) -> np.ndarray:
         """Sound upper bounds on this shard's score contribution per probe.
 
         *probe_lo*/*probe_hi* are ``(b, d)`` sentinel matrices (missing →
-        ``∓inf``). Returns ``(b,)`` int64 bounds — the minimum of the
-        necessity bound ``min_t |{p : hi_p[t] ≥ lo_o[t]}|`` (every
-        dominated member must pass the ≤ test on *all* dimensions) and,
-        when *probe_hi* is given, the strict-witness union bound
-        ``Σ_t |{p : lo_p[t] > hi_o[t]}|`` (every dominated member must be
-        strictly worse on *some* dimension). Both are upper-bounded from
-        the bucket samples, so the combined bound stays sound at any bin
-        resolution.
+        ``∓inf``), or *probe_lo* is a prebuilt :class:`_Probes` index over
+        them (*probe_hi* is then ignored). Returns ``(b,)`` int64 bounds —
+        the minimum of the necessity bound ``min_t |{p : hi_p[t] ≥ lo_o[t]}|``
+        (every dominated member must pass the ≤ test on *all* dimensions)
+        and, when probe ``hi`` columns are given, the strict-witness union
+        bound ``Σ_t |{p : lo_p[t] > hi_o[t]}|`` (every dominated member
+        must be strictly worse on *some* dimension). Both are
+        upper-bounded from the bucket samples, so the combined bound
+        stays sound at any bin resolution.
+
+        Every bucket search runs over a column's ``u`` *distinct* probe
+        values and is gathered back through the inverse, so one call
+        costs ``O(u·log B + b)`` per column instead of ``O(b·log B)``.
         """
-        b = probe_lo.shape[0]
-        ranks = self.ranks
-        out = np.full(b, self.count, dtype=np.int64)
-        for dim, values in enumerate(self.values):
-            j = np.searchsorted(values, probe_lo[:, dim], side="left")
-            # Samples before j are < v, so rank_left(v) ≥ ranks[j-1] + 1
-            # and |{hi ≥ v}| ≤ m − ranks[j-1] − 1; j == 0 bounds nothing.
-            clamped = np.maximum(j - 1, 0)
-            bound = np.where(j > 0, self.count - ranks[clamped] - 1, self.count)
-            np.minimum(out, bound, out=out)
+        probes = probe_lo if isinstance(probe_lo, _Probes) else _Probes(probe_lo, probe_hi)
+        count, ranks = self.count, self.ranks
+
+        def rank_bound(values: np.ndarray, column: tuple, side: str) -> np.ndarray:
+            # Samples before j are on the safe side of v, so the count
+            # past v is ≤ m − ranks[j-1] − 1; j == 0 bounds nothing.
+            unique, inverse = column
+            j = np.searchsorted(values, unique, side=side)
+            bound = np.where(j > 0, count - ranks[np.maximum(j - 1, 0)] - 1, count)
+            return bound[inverse]
+
+        out = np.full(probes.size, count, dtype=np.int64)
+        for values, column in zip(self.values, probes.lo):
+            # |{hi ≥ v}| from the left insertion rank of v = lo_o[t].
+            np.minimum(out, rank_bound(values, column, "left"), out=out)
         for dim_a, dim_b, edges_a, edges_b, cells in self.grids:
             # lo_o ≤ hi_p ⟹ rank_left(lo_o) ≤ rank_right(hi_p): the
             # probe's bucket floor never exceeds a qualifying member's
             # bucket, so the suffix cell over-counts the joint test.
-            ia = np.searchsorted(edges_a, probe_lo[:, dim_a], side="left")
-            ib = np.searchsorted(edges_b, probe_lo[:, dim_b], side="left")
+            (ua, inv_a), (ub, inv_b) = probes.lo[dim_a], probes.lo[dim_b]
+            ia = np.searchsorted(edges_a, ua, side="left")[inv_a]
+            ib = np.searchsorted(edges_b, ub, side="left")[inv_b]
             np.minimum(out, cells[ia, ib], out=out)
-        if probe_hi is None:
+        if probes.hi is None:
             return out
-        union = np.zeros(b, dtype=np.int64)
-        for dim, values in enumerate(self.lo_values):
-            j = np.searchsorted(values, probe_hi[:, dim], side="right")
-            # Samples before j are ≤ v, so rank_right(v) ≥ ranks[j-1] + 1
-            # and |{lo > v}| ≤ m − ranks[j-1] − 1; j == 0 bounds nothing.
-            clamped = np.maximum(j - 1, 0)
-            union += np.where(j > 0, self.count - ranks[clamped] - 1, self.count)
+        union = np.zeros(probes.size, dtype=np.int64)
+        for values, column in zip(self.lo_values, probes.hi):
+            # |{lo > v}| from the right insertion rank of v = hi_o[t].
+            union += rank_bound(values, column, "right")
         return np.minimum(out, union)
+
+
+class _Probes:
+    """Distinct-value index over a probe block's sentinel columns.
+
+    Holds ``np.unique(col, return_inverse=True)`` for every ``lo`` (and,
+    when given, ``hi``) column, so each summary searches its bucket
+    samples once per distinct value — the per-value economy the paper's
+    bitmap index is built on — instead of once per probe row. Inverses
+    are stored in the narrowest unsigned dtype that fits (``uint8`` for
+    the ≤255-value columns of integer-domain data), keeping the index
+    small next to the ``(b, d)`` floats it replaces.
+    """
+
+    __slots__ = ("size", "lo", "hi")
+
+    def __init__(self, probe_lo: np.ndarray, probe_hi: np.ndarray | None = None) -> None:
+        self.size = int(probe_lo.shape[0])
+        self.lo = [self._index(column) for column in probe_lo.T]
+        self.hi = None if probe_hi is None else [self._index(column) for column in probe_hi.T]
+
+    @staticmethod
+    def _index(column: np.ndarray) -> tuple:
+        unique, inverse = np.unique(column, return_inverse=True)
+        return unique, inverse.astype(np.min_scalar_type(unique.size), copy=False)
+
+    @property
+    def distinct(self) -> int:
+        """Distinct values summed over every indexed column."""
+        columns = self.lo + (self.hi or [])
+        return sum(unique.size for unique, _ in columns)
+
+    def take(self, rows: np.ndarray) -> "_Probes":
+        """The index of a row subset: shared unique values, sliced inverses."""
+        view = _Probes.__new__(_Probes)
+        view.size = int(rows.size)
+        view.lo = [(unique, inverse[rows]) for unique, inverse in self.lo]
+        view.hi = None if self.hi is None else [(u, inv[rows]) for u, inv in self.hi]
+        return view
 
 
 class PartitionShard:
@@ -677,12 +724,14 @@ def execute_partitioned(
                 lo, hi = lo_g[perm], hi_g[perm]
             lower = np.concatenate(locals_)  # own-shard exact score == global lower bound
             tau = int(np.partition(lower, n - kk)[n - kk])
-            upper, merge_groups = _merged_upper_bounds(
+            upper, merge_groups, envelope_survivors, distinct = _merged_upper_bounds(
                 shards, summaries, lower, lo, hi, tau, bins=summary_bins
             )
             candidates = np.flatnonzero(upper >= tau).astype(np.intp)
             span.set("merge", "tree" if merge_groups else "flat")
             span.set("merge_groups", merge_groups)
+            span.set("envelope_survivors", envelope_survivors)
+            span.set("distinct_probes", distinct)
             span.set("tau", tau).set("candidates", int(candidates.size))
 
         # -- phase 2: exact cross-partition scores for the survivors -------
@@ -754,7 +803,9 @@ def execute_partitioned(
     )
     stats.candidates = survivors
     stats.index_bytes = sum(summary.nbytes for summary in summaries)
-    stats.query_seconds = phase1_seconds + phase2_seconds
+    # Phase 1 through selection: the merge and the final selection run
+    # outside both phase clocks, so the phase sum would under-report.
+    stats.query_seconds = _clock() - start_p1
     if telemetry.enabled():
         registry = telemetry.metrics()
         registry.count("partition.queries")
@@ -800,24 +851,28 @@ def _merged_upper_bounds(
 ):
     """Global upper bounds from the shard summaries (flat or tree merge).
 
-    Returns ``(upper, groups)`` in concatenation space. At ``P`` shards
-    the flat merge probes every summary for every position — ``O(P·n)``
-    summary lookups. Past :data:`_TREE_MERGE_MIN_SHARDS` a two-level
-    tree takes over: pass 1 probes only ``G ≈ √P`` *group* summaries
-    (built over contiguous shard runs straight from the sentinel block)
-    for a sound envelope ``Σ_g UB_g ≥ score``; pass 2 descends into the
-    per-shard summaries only for the envelope's τ-survivors — typically
-    a few percent of ``n`` — so total work is ``O(√P·n + P·survivors)``.
-    ``groups`` is 0 on the flat path.
+    Returns ``(upper, groups, survivors, distinct)`` in concatenation
+    space. One :class:`_Probes` index over ``lo``/``hi`` is built once and
+    shared by every summary probe, so each probe costs ``O(u·log B + b)``
+    for ``u`` distinct column values. At ``P`` shards the flat merge
+    probes every summary for every position. Past
+    :data:`_TREE_MERGE_MIN_SHARDS` a two-level tree takes over: pass 1
+    probes only ``G ≈ √P`` *group* summaries (built over contiguous shard
+    runs straight from the sentinel block) for a sound envelope
+    ``Σ_g UB_g ≥ score``; pass 2 descends into the per-shard summaries
+    only for the envelope's τ-survivors. ``groups`` is 0 on the flat
+    path; ``survivors`` counts the pass-1 survivors (every position on
+    the flat path) and ``distinct`` the index's summed distinct values.
     """
     n = lower.shape[0]
+    probes = _Probes(lo, hi)
     if len(shards) <= _TREE_MERGE_MIN_SHARDS:
         upper = lower.copy()
         for shard, summary in zip(shards, summaries):
-            ub = summary.upper_bound_counts(lo, hi)
+            ub = summary.upper_bound_counts(probes)
             upper += ub
             upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
-        return upper, 0
+        return upper, 0, n, probes.distinct
 
     group_count = max(2, int(round(len(shards) ** 0.5)))
     step = -(-len(shards) // group_count)
@@ -827,21 +882,21 @@ def _merged_upper_bounds(
         run = shards[g0 : g0 + step]
         gs, ge = run[0].start, run[-1].stop
         group_summary = ShardSummary.from_bounds(lo[gs:ge], hi[gs:ge], bins=bins)
-        envelope += group_summary.upper_bound_counts(lo, hi)
+        envelope += group_summary.upper_bound_counts(probes)
         groups += 1
     # The envelope bounds the *full* score (own-shard contribution
     # included), so it is directly comparable with τ.
     cand = np.flatnonzero(envelope >= tau).astype(np.intp)
     if cand.size:
-        probe_lo, probe_hi = lo[cand], hi[cand]
+        survivors = probes.take(cand)
         tight = lower[cand].astype(np.int64, copy=True)
         for shard, summary in zip(shards, summaries):
-            ub = summary.upper_bound_counts(probe_lo, probe_hi)
+            ub = summary.upper_bound_counts(survivors)
             inside = (cand >= shard.start) & (cand < shard.stop)
             ub[inside] = 0  # own-shard part is already exact in `lower`
             tight += ub
         envelope[cand] = np.minimum(envelope[cand], tight)
-    return envelope, groups
+    return envelope, groups, int(cand.size), probes.distinct
 
 
 def _refine_in_parent(
@@ -853,8 +908,10 @@ def _refine_in_parent(
 ) -> None:
     """Exactly score the small refinement head against every shard.
 
-    One ``(head, m, d)`` broadcast per shard — no tables, no pool round;
-    the head is ``O(k)`` so this is cheaper than shipping it anywhere.
+    One ``(head, m)`` comparison pass per shard and dimension — no
+    tables, no pool round; the head is ``O(k)`` so this is cheaper than
+    shipping it anywhere. Folding the dimensions one at a time keeps
+    the reductions off numpy's slow short-axis ``all``/``any``.
     """
     for shard in view.shards:
         foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
@@ -862,9 +919,13 @@ def _refine_in_parent(
             continue
         member_lo = lo[shard.start : shard.stop]
         member_hi = hi[shard.start : shard.stop]
-        le_all = np.all(lo[foreign][:, None, :] <= member_hi[None, :, :], axis=2)
-        lt_any = np.any(hi[foreign][:, None, :] < member_lo[None, :, :], axis=2)
-        total[foreign] += (le_all & lt_any).sum(axis=1)
+        foreign_lo, foreign_hi = lo[foreign], hi[foreign]
+        le_all = np.ones((foreign.size, shard.n), dtype=bool)
+        lt_any = np.zeros((foreign.size, shard.n), dtype=bool)
+        for t in range(lo.shape[1]):
+            le_all &= foreign_lo[:, None, t] <= member_hi[None, :, t]
+            lt_any |= foreign_hi[:, None, t] < member_lo[None, :, t]
+        total[foreign] += np.count_nonzero(le_all & lt_any, axis=1)
 
 
 def _shard_prepared(engine, shard: PartitionShard) -> PreparedDataset:

@@ -307,7 +307,7 @@ class TestHierarchicalMerge:
         )
         exact = dominated_counts(ds).astype(np.int64)
         tau = int(np.partition(lower, ds.n - 10)[ds.n - 10])
-        upper, groups = _merged_upper_bounds(
+        upper, groups, _, _ = _merged_upper_bounds(
             view.shards, summaries, lower, lo, hi, tau
         )
         assert groups >= 2

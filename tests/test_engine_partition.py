@@ -17,9 +17,13 @@ from repro.core.delta import DatasetDelta
 from repro.core.naive import naive_tkd
 from repro.core.score import score_all
 from repro.engine.kernels import PreparedDataset, _bounds
+from repro.engine import partition, telemetry
 from repro.engine.partition import (
     PartitionedDataset,
     ShardSummary,
+    _merged_upper_bounds,
+    _Probes,
+    _refine_in_parent,
     execute_partitioned,
 )
 from repro.engine.planner import (
@@ -172,6 +176,208 @@ class TestShardSummary:
         necessity_only = summary.upper_bound_counts(lo)
         combined = summary.upper_bound_counts(lo, hi)
         assert combined.sum() < necessity_only.sum()
+
+
+def _per_probe_upper_bounds(summary, probe_lo, probe_hi=None):
+    """Reference: the per-probe-row search the distinct-value index replaced."""
+    b = probe_lo.shape[0]
+    ranks = summary.ranks
+    out = np.full(b, summary.count, dtype=np.int64)
+    for dim, values in enumerate(summary.values):
+        j = np.searchsorted(values, probe_lo[:, dim], side="left")
+        clamped = np.maximum(j - 1, 0)
+        bound = np.where(j > 0, summary.count - ranks[clamped] - 1, summary.count)
+        np.minimum(out, bound, out=out)
+    for dim_a, dim_b, edges_a, edges_b, cells in summary.grids:
+        ia = np.searchsorted(edges_a, probe_lo[:, dim_a], side="left")
+        ib = np.searchsorted(edges_b, probe_lo[:, dim_b], side="left")
+        np.minimum(out, cells[ia, ib], out=out)
+    if probe_hi is None:
+        return out
+    union = np.zeros(b, dtype=np.int64)
+    for dim, values in enumerate(summary.lo_values):
+        j = np.searchsorted(values, probe_hi[:, dim], side="right")
+        clamped = np.maximum(j - 1, 0)
+        union += np.where(j > 0, summary.count - ranks[clamped] - 1, summary.count)
+    return np.minimum(out, union)
+
+
+def _per_probe_merge(shards, summaries, lower, lo, hi, tau, bins=128):
+    """Reference flat/tree merge built from :func:`_per_probe_upper_bounds`."""
+    n = lower.shape[0]
+    if len(shards) <= partition._TREE_MERGE_MIN_SHARDS:
+        upper = lower.copy()
+        for shard, summary in zip(shards, summaries):
+            ub = _per_probe_upper_bounds(summary, lo, hi)
+            upper += ub
+            upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
+        return upper
+    group_count = max(2, int(round(len(shards) ** 0.5)))
+    step = -(-len(shards) // group_count)
+    envelope = np.zeros(n, dtype=np.int64)
+    for g0 in range(0, len(shards), step):
+        gs, ge = shards[g0].start, shards[min(g0 + step, len(shards)) - 1].stop
+        group = ShardSummary.from_bounds(lo[gs:ge], hi[gs:ge], bins=bins)
+        envelope += _per_probe_upper_bounds(group, lo, hi)
+    cand = np.flatnonzero(envelope >= tau)
+    tight = lower[cand].astype(np.int64, copy=True)
+    for shard, summary in zip(shards, summaries):
+        ub = _per_probe_upper_bounds(summary, lo[cand], hi[cand])
+        ub[(cand >= shard.start) & (cand < shard.stop)] = 0
+        tight += ub
+    envelope[cand] = np.minimum(envelope[cand], tight)
+    return envelope
+
+
+def _random_values(n, d, *, missing, continuous, seed):
+    """Integer-domain (101 distinct values) or continuous data with NaN holes."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, d)) if continuous else rng.integers(0, 101, (n, d)).astype(float)
+    values[rng.random((n, d)) < missing] = np.nan
+    return values
+
+
+def _sentinels(values):
+    observed = ~np.isnan(values)
+    return np.where(observed, values, -np.inf), np.where(observed, values, np.inf)
+
+
+class TestProbeIndexBitIdentity:
+    """The distinct-value probe index answers exactly what the per-row
+    search answered: same bounds, bit for bit, on every summary shape."""
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    @pytest.mark.parametrize("missing", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("dead_column", [False, True])
+    @pytest.mark.parametrize("bins", [8, 512])  # sampled (< m) and exact (≥ m)
+    def test_matches_per_probe_search(self, continuous, missing, dead_column, bins):
+        seed = int(continuous) * 100 + int(missing * 10) + 7 * int(dead_column) + bins
+        members = _random_values(300, 5, missing=missing, continuous=continuous, seed=seed)
+        probe_values = _random_values(400, 5, missing=missing, continuous=continuous, seed=seed + 1)
+        if dead_column:  # an all-missing column: only ±inf sentinels
+            members[:, 1] = probe_values[:, 1] = np.nan
+        lo, hi = _sentinels(members)
+        summary = ShardSummary.from_bounds(lo[:200], hi[:200], bins=bins)
+        probe_lo, probe_hi = _sentinels(probe_values)
+        probe_lo[:100], probe_hi[:100] = lo[:100], hi[:100]  # values the summary saw
+        for ph in (None, probe_hi):
+            want = _per_probe_upper_bounds(summary, probe_lo, ph)
+            assert np.array_equal(summary.upper_bound_counts(probe_lo, ph), want)
+            probes = _Probes(probe_lo, ph)
+            assert np.array_equal(summary.upper_bound_counts(probes), want)
+            rows = np.random.default_rng(seed).choice(400, 57, replace=False)
+            sub = probe_lo[rows], None if ph is None else ph[rows]
+            assert np.array_equal(
+                summary.upper_bound_counts(probes.take(rows)),
+                _per_probe_upper_bounds(summary, *sub),
+            )
+            empty = summary.upper_bound_counts(probes.take(np.zeros(0, dtype=np.intp)))
+            assert empty.shape == (0,) and empty.dtype == np.int64
+
+    def test_index_is_compact(self):
+        lo, hi = _sentinels(_random_values(1000, 4, missing=0.3, continuous=False, seed=3))
+        probes = _Probes(lo, hi)
+        assert all(inverse.dtype == np.uint8 for _, inverse in probes.lo + probes.hi)
+        assert probes.distinct == sum(np.unique(col).size for col in np.hstack([lo, hi]).T)
+
+    @pytest.mark.parametrize("partitions", [8, 20, 32])  # flat, tree, tree
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_merge_matches_per_probe_merge(self, partitions, continuous):
+        from repro.engine.kernels import dominated_counts
+
+        values = _random_values(640, 4, missing=0.3, continuous=continuous, seed=partitions)
+        values[np.isnan(values).all(axis=1), 0] = 0.5
+        ds = IncompleteDataset(values)
+        view = PartitionedDataset(ds, partitions)
+        lo, hi = _bounds(ds)
+        summaries = [ShardSummary.build(s.dataset) for s in view.shards]
+        lower = np.concatenate(
+            [dominated_counts(s.dataset).astype(np.int64) for s in view.shards]
+        )
+        tau = int(np.partition(lower, ds.n - 10)[ds.n - 10])
+        upper, groups, survivors, distinct = _merged_upper_bounds(
+            view.shards, summaries, lower, lo, hi, tau
+        )
+        assert np.array_equal(upper, _per_probe_merge(view.shards, summaries, lower, lo, hi, tau))
+        assert (groups > 0) == (partitions > partition._TREE_MERGE_MIN_SHARDS)
+        assert 0 < survivors <= ds.n
+        if not groups:
+            assert survivors == ds.n
+        assert distinct == _Probes(lo, hi).distinct
+
+
+def _broadcast_refine(view, rows, lo, hi, total):
+    """Reference: the ``(head, m, d)`` broadcast the per-dimension fold replaced."""
+    for shard in view.shards:
+        foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
+        if not foreign.size:
+            continue
+        member_lo = lo[shard.start : shard.stop]
+        member_hi = hi[shard.start : shard.stop]
+        le_all = np.all(lo[foreign][:, None, :] <= member_hi[None, :, :], axis=2)
+        lt_any = np.any(hi[foreign][:, None, :] < member_lo[None, :, :], axis=2)
+        total[foreign] += (le_all & lt_any).sum(axis=1)
+
+
+class TestRefineBitIdentity:
+    @pytest.mark.parametrize("d", [1, 4, 7])
+    @pytest.mark.parametrize("partitions", [1, 5])
+    def test_matches_broadcast(self, d, partitions):
+        ds = random_dataset(150, d=d, seed=40 + d, missing=0.35)
+        view = PartitionedDataset(ds, partitions)
+        lo, hi = _bounds(ds)
+        # A head with rows in every shard: each shard's first row plus a spread.
+        rows = np.unique(
+            np.concatenate([[s.start for s in view.shards], np.arange(3, 150, 11)])
+        ).astype(np.intp)
+        base = np.arange(150, dtype=np.int64)
+        want, got = base.copy(), base.copy()
+        _broadcast_refine(view, rows, lo, hi, want)
+        _refine_in_parent(view, rows, lo, hi, got)
+        assert np.array_equal(got, want)
+        if partitions > 1:
+            assert not np.array_equal(got, base)  # foreign work actually happened
+
+
+class TestQueryTiming:
+    def test_query_seconds_covers_merge_and_select(self, monkeypatch):
+        import time
+
+        real = partition._merged_upper_bounds
+
+        def slow_merge(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "_merged_upper_bounds", slow_merge)
+        result = execute_partitioned(PartitionedDataset(random_dataset(96, seed=41), 3), 5)
+        extra = result.stats.extra
+        assert result.stats.query_seconds >= (
+            0.05 + extra["phase1_seconds"] + extra["phase2_seconds"]
+        )
+
+
+class TestMergeSpan:
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        was = telemetry.enabled()
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        yield
+        telemetry.set_enabled(was)
+        telemetry.reset()
+
+    @pytest.mark.parametrize("partitions", [4, 20])
+    def test_merge_span_reports_survivors_and_distinct_probes(self, partitions):
+        ds = random_dataset(400, seed=42, missing=0.3)
+        execute_partitioned(PartitionedDataset(ds, partitions), 5)
+        (merge,) = [s for s in telemetry.collected_spans() if s["name"] == "partition.merge"]
+        attrs = merge["attrs"]
+        assert 0 < attrs["envelope_survivors"] <= ds.n
+        if partitions <= partition._TREE_MERGE_MIN_SHARDS:
+            assert attrs["envelope_survivors"] == ds.n
+        lo, hi = _bounds(ds)
+        assert attrs["distinct_probes"] == _Probes(lo, hi).distinct
 
 
 class TestForeignCounts:
