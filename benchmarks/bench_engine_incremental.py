@@ -5,9 +5,9 @@ Two claims, each measured and enforced:
 
 1. **Patch beats re-prepare** — advancing a prepared dataset by a
    single-row update through :meth:`QueryEngine.update` (delta apply +
-   lineage fingerprint + table splice + incremental score maintenance)
+   lineage fingerprint + table patch + incremental score maintenance)
    must beat a full re-prepare of the same engine state (fresh
-   sentinels + cold ``O(d·n²/64)`` bitset-table build + one full score
+   sentinels + cold ``O(d·u·n/64)`` bitset-table build + one full score
    sweep) by at least 10x at n=4000, d=4.
 2. **Exactness** — the patched tables must answer ``dominated_counts``
    bit-identically to a cold rebuild of the child version, and the
@@ -89,7 +89,7 @@ def main() -> int:
 
     # -- claim 1: single-row update, patch vs full re-prepare ---------------
     # The owned continuous handle is the engine's designed update fast
-    # path: in-place table splices, no copy-on-write spawn per version.
+    # path: in-place table patches, no copy-on-write spawn per version.
     target = dataset.ids[args.n // 2]
     live = engine.continuous(dataset, k=8)
     counter = [0]

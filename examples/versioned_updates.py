@@ -9,8 +9,8 @@ walks the layer that changed that:
    dataset *versions* whose fingerprints derive from the parent's
    (``H(parent, delta)``), so identity costs ``O(|delta|·d)`` per change
    instead of an ``O(n·d)`` rehash.
-2. **Patched tables** — the engine splices the packed bitset tables to
-   the child version (tombstoned deletions, rank moves for updates) and
+2. **Patched tables** — the engine patches the packed bitset tables to
+   the child version (tombstoned deletions, bits moved for updates) and
    adjusts dominated counts for affected objects only; answers stay
    bit-identical to a cold rebuild.
 3. **Incremental queries** — ``engine.query(child, k)`` answers straight

@@ -4,8 +4,8 @@ Two independent accelerations for the engine's bottom layer live here:
 
 **Kernel backends.** Every hot loop in :mod:`repro.engine.kernels` — the
 per-row popcount, the prefix/suffix accumulator AND-reduction behind
-``dominated_block_bits``/``dominator_block_bits``, the rank-splice copies
-of the incremental path, and ``foreign_dominated_counts`` — dispatches
+``dominated_block_bits``/``dominator_block_bits``, and
+``foreign_dominated_counts`` — dispatches
 through a process-global :class:`KernelBackend`. Two implementations are
 registered:
 
@@ -34,11 +34,11 @@ and measures once per machine when no observation exists.
 
 **Shared-memory prepared tables.** :class:`SharedTables` places one
 :class:`~repro.engine.kernels.PreparedDataset`'s storage arrays (sentinel
-bounds, packed rank tables, sort orders) into a single
+bounds, packed rank tables, distinct column values) into a single
 :mod:`multiprocessing.shared_memory` segment. Pool workers *attach* by
 name and rebuild the prepared view zero-copy (``PreparedDataset.from_state``
-over ndarray views of the segment) instead of unpickling a multi-hundred-MB
-payload per task. Lifecycle is refcounted per process with crash-safe
+over ndarray views of the segment) instead of unpickling the payload
+per task. Lifecycle is refcounted per process with crash-safe
 atexit cleanup; the parent that adopts a segment unlinks it when the
 query finishes, so ``/dev/shm`` never accumulates stale entries.
 Attached instances are read-only views — never patch them in place.
@@ -426,65 +426,6 @@ API void repro_fused_bits(const uint64_t **suffix, const uint64_t **prefix,
     task.out_bits = out;
     run_blocked(&task);
 }
-
-/* Rank-row splice: copy of table (rows, w) into out (rows+1, out_w) with
- * row `position` duplicated and the new object's bit OR-ed into the half
- * that must contain it (suffix: rows [0..position], prefix: the rest). */
-API void repro_spliced_rank_row(const uint64_t *table, int64_t rows,
-                                int64_t w, int64_t out_w, int64_t position,
-                                int64_t slot, int32_t is_suffix,
-                                uint64_t *out) {
-    int64_t bw = slot >> 6;
-    uint64_t bm = (uint64_t)1 << (slot & 63);
-    int64_t pad = out_w - w;
-    for (int64_t r = 0; r <= position; ++r) {
-        uint64_t *dst = out + r * out_w;
-        memcpy(dst, table + r * w, (size_t)w * sizeof(uint64_t));
-        if (pad > 0) memset(dst + w, 0, (size_t)pad * sizeof(uint64_t));
-        if (is_suffix) dst[bw] |= bm;
-    }
-    for (int64_t r = position; r < rows; ++r) {
-        uint64_t *dst = out + (r + 1) * out_w;
-        memcpy(dst, table + r * w, (size_t)w * sizeof(uint64_t));
-        if (pad > 0) memset(dst + w, 0, (size_t)pad * sizeof(uint64_t));
-        if (!is_suffix) dst[bw] |= bm;
-    }
-}
-
-/* Fused remove+insert of one rank row: slot's row moves from sorted
- * position q to insertion position p (in the removed order); only the
- * rows between the two positions shift. */
-API void repro_moved_rank_row(const uint64_t *table, int64_t rows, int64_t w,
-                              int64_t q, int64_t p, int64_t slot,
-                              int32_t is_suffix, uint64_t *out) {
-    int64_t bw = slot >> 6;
-    uint64_t bm = (uint64_t)1 << (slot & 63);
-    size_t row_bytes = (size_t)w * sizeof(uint64_t);
-    if (p <= q) {
-        memcpy(out, table, (size_t)(p + 1) * row_bytes);
-        memcpy(out + (p + 1) * w, table + p * w, (size_t)(q + 1 - p) * row_bytes);
-        if (rows - q - 2 > 0)
-            memcpy(out + (q + 2) * w, table + (q + 2) * w,
-                   (size_t)(rows - q - 2) * row_bytes);
-        if (is_suffix) {
-            for (int64_t r = 0; r <= p; ++r) out[r * w + bw] |= bm;
-            for (int64_t r = p + 1; r <= q + 1; ++r) out[r * w + bw] &= ~bm;
-        } else {
-            for (int64_t r = p + 1; r <= q + 1; ++r) out[r * w + bw] |= bm;
-        }
-    } else {
-        memcpy(out, table, (size_t)(q + 1) * row_bytes);
-        memcpy(out + (q + 1) * w, table + (q + 2) * w, (size_t)(p - q) * row_bytes);
-        if (rows - p - 1 > 0)
-            memcpy(out + (p + 1) * w, table + (p + 1) * w,
-                   (size_t)(rows - p - 1) * row_bytes);
-        if (is_suffix) {
-            for (int64_t r = 0; r <= p; ++r) out[r * w + bw] |= bm;
-        } else {
-            for (int64_t r = q + 1; r <= p; ++r) out[r * w + bw] &= ~bm;
-        }
-    }
-}
 """
 
 _native_lib: ctypes.CDLL | None = None
@@ -577,14 +518,6 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
         c_vpp, c_vpp, c_vp, c_vp, c_i64, c_i64, c_i64, c_i32, c_vp
     )
     lib.repro_fused_bits.restype = None
-    lib.repro_spliced_rank_row.argtypes = (
-        c_vp, c_i64, c_i64, c_i64, c_i64, c_i64, c_i32, c_vp
-    )
-    lib.repro_spliced_rank_row.restype = None
-    lib.repro_moved_rank_row.argtypes = (
-        c_vp, c_i64, c_i64, c_i64, c_i64, c_i64, c_i32, c_vp
-    )
-    lib.repro_moved_rank_row.restype = None
     lib.repro_set_threads.argtypes = (c_i32,)
     lib.repro_set_threads.restype = c_i32
     lib.repro_get_threads.argtypes = ()
@@ -764,12 +697,6 @@ class KernelBackend:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def spliced_rank_row(self, table, position, slot, kind, width) -> np.ndarray:
-        raise NotImplementedError
-
-    def moved_rank_row(self, table, q, p, slot, kind) -> np.ndarray:
-        raise NotImplementedError
-
 
 class NumpyBackend(KernelBackend):
     """The portable route: the kernels module's own vectorised numpy code."""
@@ -797,16 +724,6 @@ class NumpyBackend(KernelBackend):
         if live is not None:
             bits &= live
         return self.popcount_rows(bits)
-
-    def spliced_rank_row(self, table, position, slot, kind, width):
-        from . import kernels
-
-        return kernels._spliced_rank_row_numpy(table, position, slot, kind, width)
-
-    def moved_rank_row(self, table, q, p, slot, kind):
-        from . import kernels
-
-        return kernels._moved_rank_row_numpy(table, q, p, slot, kind)
 
 
 def _timed_kernel(method):
@@ -881,10 +798,10 @@ class NativeBackend(KernelBackend):
         rank_le = np.empty((idx.shape[0], d), dtype=np.int64)
         for dim in range(d):
             rank_ge[:, dim] = np.searchsorted(
-                tables.sorted_hi[dim], lo[idx, dim], side="left"
+                tables.hi_values[dim], lo[idx, dim], side="left"
             )
             rank_le[:, dim] = np.searchsorted(
-                tables.sorted_lo[dim], hi[idx, dim], side="right"
+                tables.lo_values[dim], hi[idx, dim], side="right"
             )
         return rank_ge, rank_le
 
@@ -963,43 +880,6 @@ class NativeBackend(KernelBackend):
             len(tables.suffix),
             width,
             _DIRECTIONS[direction],
-            out.ctypes.data,
-        )
-        return out
-
-    @_timed_kernel
-    def spliced_rank_row(self, table, position, slot, kind, width):
-        if table.dtype != np.uint64 or not table.flags.c_contiguous:
-            return self._numpy.spliced_rank_row(table, position, slot, kind, width)
-        rows, w = table.shape
-        out_w = width if width > w else w
-        out = np.empty((rows + 1, out_w), dtype=np.uint64)
-        self._lib.repro_spliced_rank_row(
-            table.ctypes.data,
-            rows,
-            w,
-            out_w,
-            int(position),
-            int(slot),
-            1 if kind == "suffix" else 0,
-            out.ctypes.data,
-        )
-        return out
-
-    @_timed_kernel
-    def moved_rank_row(self, table, q, p, slot, kind):
-        if table.dtype != np.uint64 or not table.flags.c_contiguous:
-            return self._numpy.moved_rank_row(table, q, p, slot, kind)
-        rows, w = table.shape
-        out = np.empty((rows, w), dtype=np.uint64)
-        self._lib.repro_moved_rank_row(
-            table.ctypes.data,
-            rows,
-            w,
-            int(q),
-            int(p),
-            int(slot),
-            1 if kind == "suffix" else 0,
             out.ctypes.data,
         )
         return out

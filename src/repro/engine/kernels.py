@@ -22,11 +22,11 @@ objects at once.
 **Packed-bitset kernel** (:class:`_BitsetTables`). The ``le`` test per
 dimension is a threshold test, so the objects satisfying it form a
 *suffix* of that dimension's sort order, and the objects failing the
-strict test form a *prefix* — the same observation behind the paper's
-range-encoded bitmap index (Section 4.3), here packed into uint64 words.
-Per dimension we precompute cumulative prefix/suffix bitsets; a whole
-block of objects is then scored with ``2·d`` row gathers, ``2·(d−1)``
-packed ANDs and one popcount::
+strict test form a *prefix*. A threshold only ever falls between two
+distinct values, so one cumulative row per distinct value holds every
+such set: the paper's range-encoded bitmap index (Section 4.3, Fig. 6),
+here packed into uint64 words. A whole block of objects is then scored
+with ``2·d`` row gathers, ``2·(d−1)`` packed ANDs and one popcount::
 
     score(o) = popcount( ∩_i SUFFIX_i[rank_ge(o,i)]  &  ~∩_i PREFIX_i[rank_le(o,i)] )
 
@@ -39,8 +39,10 @@ directions; and the packed rows unpack into exact boolean dominated-masks
 (:func:`unpack_mask_bits`), which is how ``dominance_matrix`` and the MFD
 operator ride this route too.
 
-Tables are ``O(d·n²/8)`` bytes, so they are built only when a batch is
-big enough to amortise the cost and the tables fit a fixed memory budget
+Tables are ``O(d·u·n/8)`` bytes for ``u`` distinct values per column
+(``O(d·n²/8)`` only on continuous data), so they are built only when a
+batch is big enough to amortise the cost and the tables fit a fixed
+memory budget
 — **or when a previous call already paid for them**: tables live in a
 :class:`PreparedDataset` cached by content fingerprint inside the engine
 session layer (:mod:`repro.engine.session`), so repeated sweeps, the MFD
@@ -85,7 +87,7 @@ __all__ = [
 #: comparisons keeps the temporaries of a kernel step within a few MB.
 _BLOCK_ELEMENT_BUDGET = 4_000_000
 
-#: Ceiling for the packed prefix/suffix tables (2·d·(n+1)·⌈n/64⌉·8 bytes).
+#: Ceiling for the packed prefix/suffix tables (Σ(u+1)·⌈n/64⌉·8 bytes).
 _BITSET_TABLE_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Datasets below this size never consult the shared prepared cache: a
@@ -189,201 +191,116 @@ def _blocked_counts(
 # Packed-bitset route
 # ---------------------------------------------------------------------------
 
-def _bitset_table_bytes(n: int, d: int) -> int:
+def _bitset_table_bytes(n: int, d: int, distinct: Sequence[int] | None = None) -> int:
+    """Bytes of the packed rank tables over *n* objects and *d* dimensions.
+
+    A table holds one ``⌈n/64⌉``-word row per distinct value of its
+    column plus the empty row. *distinct* gives the per-column distinct
+    counts (the ``hi`` columns, then the ``lo`` columns, as
+    :func:`_column_values` orders them); without it every value counts
+    as distinct (``u = n``), the shape-only upper bound.
+    """
     words = (n + 63) >> 6
-    return 2 * d * (n + 1) * words * 8
+    if distinct is None:
+        return 2 * d * (n + 1) * words * 8
+    return sum(int(u) + 1 for u in distinct) * words * 8
+
+
+def _column_values(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``np.unique(column, return_inverse=True)`` of every ``hi`` column,
+    then of every ``lo`` column: the distinct values a compact table keeps
+    and each object's rank among them."""
+    return [np.unique(column, return_inverse=True) for column in (*hi.T, *lo.T)]
 
 
 def _use_bitsets(n: int, d: int, batch: int, *, cached: bool = False) -> bool:
-    """Bitsets pay when the batch amortises the O(d·n²/64) table build.
+    """Bitsets pay when the batch amortises the O(d·u·n/64) table build.
 
     With ``cached=True`` the tables already exist (a previous call, or the
     session's :class:`PreparedDataset` cache, paid for them), so *any*
     batch rides them — ``2·d`` row gathers per object beat an ``O(n·d)``
-    broadcast row regardless of batch size.
+    broadcast row regardless of batch size. Whether the tables fit the
+    memory budget is :meth:`PreparedDataset.tables`' decision, taken on
+    the measured distinct counts.
     """
-    fits = _bitset_table_bytes(n, d) <= _BITSET_TABLE_BUDGET_BYTES
     if cached:
-        return fits
-    return batch >= 256 and batch * 16 >= n and n >= 512 and fits
+        return True
+    return batch >= 256 and batch * 16 >= n and n >= 512
 
 
-def _rank_position(
-    vals: np.ndarray, order: np.ndarray, value: float, slot: int, *, existing: bool = False
-) -> int:
-    """Stable sorted position of ``(value, slot)`` in one dimension's order.
+def _rank_rows(ranks: np.ndarray, distinct: int, words: int, *, suffix: bool) -> np.ndarray:
+    """One dimension's cumulative rows over its *distinct* values.
 
-    Tie blocks are kept ordered by storage slot (the stable-argsort
-    invariant), so the position inside the block of equal values is found
-    by a second binary search over the slot numbers. With ``existing=True``
-    the entry must already be present and its exact position is returned.
+    One-hot rows (one per distinct value, bits of the objects whose value
+    has that rank) OR-accumulated from the top for a suffix table, from
+    the bottom for a prefix table; the extra row is the empty set.
     """
-    left = int(np.searchsorted(vals, value, side="left"))
-    right = int(np.searchsorted(vals, value, side="right"))
-    position = left + int(np.searchsorted(order[left:right], slot))
-    if existing and (position >= right or order[position] != slot):
-        raise InvalidParameterError(
-            f"rank entry for slot {slot} at value {value!r} not found (corrupt tables?)"
-        )
-    return position
-
-
-def _spliced_rank_row(table: np.ndarray, position: int, slot: int, kind: str, width: int) -> np.ndarray:
-    """A copy of *table* with the rank row for *slot* spliced in at *position*.
-
-    Row ``position`` is duplicated (both halves of the split keep their
-    meaning) and the new object's bit is OR-ed into the half that must
-    contain it: rows ``[0..position]`` for a suffix table ("objects at
-    sorted positions >= r"), rows ``[position+1..]`` for a prefix table
-    ("objects at positions < r"). Dispatches to the active kernel backend
-    (:mod:`repro.engine.backend`); all backends splice bit-identically.
-    """
-    return get_backend().spliced_rank_row(table, position, slot, kind, width)
-
-
-def _spliced_rank_row_numpy(
-    table: np.ndarray, position: int, slot: int, kind: str, width: int
-) -> np.ndarray:
-    """The portable numpy splice (the ``numpy`` backend's implementation)."""
-    rows, w = table.shape
-    if width > w:
-        out = np.zeros((rows + 1, width), dtype=np.uint64)
-    else:
-        out = np.empty((rows + 1, w), dtype=np.uint64)
-    out[: position + 1, :w] = table[: position + 1]
-    out[position + 1 :, :w] = table[position:]
-    bit_word, bit_mask = slot >> 6, np.uint64(1) << np.uint64(slot & 63)
-    if kind == "suffix":
-        out[: position + 1, bit_word] |= bit_mask
-    else:
-        out[position + 1 :, bit_word] |= bit_mask
-    return out
-
-
-def _moved_rank_row(table: np.ndarray, q: int, p: int, slot: int, kind: str) -> np.ndarray:
-    """A copy of *table* with *slot*'s rank row moved from *q* to *p*.
-
-    The fused remove-then-insert of an update: *q* is the old sorted
-    position, *p* the insertion position in the removed order. One
-    allocation and one pass — only the rows between the two positions
-    shift, everything else is a straight copy (what makes a single-row
-    update an order of magnitude cheaper than a rebuild). Dispatches to
-    the active kernel backend.
-    """
-    return get_backend().moved_rank_row(table, q, p, slot, kind)
-
-
-def _moved_rank_row_numpy(
-    table: np.ndarray, q: int, p: int, slot: int, kind: str
-) -> np.ndarray:
-    """The portable numpy move (the ``numpy`` backend's implementation)."""
-    out = np.empty_like(table)
-    bit_word, bit_mask = slot >> 6, np.uint64(1) << np.uint64(slot & 63)
-    if p <= q:
-        out[: p + 1] = table[: p + 1]
-        out[p + 1 : q + 2] = table[p : q + 1]
-        out[q + 2 :] = table[q + 2 :]
-        if kind == "suffix":
-            out[: p + 1, bit_word] |= bit_mask
-            out[p + 1 : q + 2, bit_word] &= ~bit_mask
-        else:
-            out[p + 1 : q + 2, bit_word] |= bit_mask
-    else:
-        out[: q + 1] = table[: q + 1]
-        out[q + 1 : p + 1] = table[q + 2 : p + 2]
-        out[p + 1 :] = table[p + 1 :]
-        if kind == "suffix":
-            out[: p + 1, bit_word] |= bit_mask
-        else:
-            out[q + 1 : p + 1, bit_word] &= ~bit_mask
-    return out
-
-
-def _moved_entry(values: np.ndarray, q: int, p: int, value) -> np.ndarray:
-    """The matching move in a 1-D sorted-values / order array."""
-    out = np.empty_like(values)
-    if p <= q:
-        out[:p] = values[:p]
-        out[p] = value
-        out[p + 1 : q + 1] = values[p:q]
-        out[q + 1 :] = values[q + 1 :]
-    else:
-        out[:q] = values[:q]
-        out[q:p] = values[q + 1 : p + 1]
-        out[p] = value
-        out[p + 1 :] = values[p + 1 :]
-    return out
+    slots = np.arange(ranks.size)
+    rows = ranks if suffix else ranks + 1
+    one_hot = np.zeros((distinct + 1, words), dtype=np.uint64)
+    np.bitwise_or.at(
+        one_hot.reshape(-1),
+        rows * words + (slots >> 6),
+        np.uint64(1) << (slots & 63).astype(np.uint64),
+    )
+    if suffix:
+        return np.ascontiguousarray(np.bitwise_or.accumulate(one_hot[::-1], axis=0)[::-1])
+    return np.bitwise_or.accumulate(one_hot, axis=0)
 
 
 class _BitsetTables:
-    """Per-dimension packed prefix/suffix bitsets over the sort orders.
+    """Per-dimension packed prefix/suffix bitsets, one row per distinct value.
 
-    For dimension ``i`` let ``hi_sorted`` be the ascending ``hi`` column:
-    ``suffix[i][r]`` holds (as bits) the objects at sorted positions
-    ``>= r`` — i.e. every object whose ``hi`` value is at least the value
-    ranked ``r``. Likewise ``prefix[i][r]`` holds the objects at positions
-    ``< r`` of the ascending ``lo`` order. Both carry ``n + 1`` rows so the
-    empty suffix/prefix are addressable.
+    For dimension ``i`` let ``hi_values`` be the ``u`` distinct values of
+    the ``hi`` column, ascending: ``suffix[i][r]`` holds (as bits) every
+    object whose ``hi`` is at least ``hi_values[r]``, and row ``u`` is
+    empty. Likewise ``prefix[i][r]`` holds every object whose ``lo`` is
+    at most ``lo_values[r − 1]``, and row ``0`` is empty. A lookup
+    ``searchsorted(hi_values, x, "left")`` lands on the row of
+    ``{p : hi[p] ≥ x}`` and ``searchsorted(lo_values, x, "right")`` on
+    the row of ``{p : lo[p] ≤ x}``, for any probe value ``x``. These are
+    the range-encoded bitmap columns of the paper (Section 4.3, Fig. 6):
+    ``(u + 1) · ⌈n/64⌉`` words per dimension and direction, built in
+    ``O(u·n/64)``.
 
     Bit ``j`` of word ``w`` in any row stands for object ``64·w + j``
     (little-endian within the word); :func:`unpack_mask_bits` is the
     inverse adapter back to boolean masks.
 
-    Tables are *patchable*: :meth:`insert_rank` and :meth:`move_rank`
-    splice one object's rank row into a dimension's table with plain
-    slice copies (no re-sort, no re-accumulate), which is how
-    :meth:`PreparedDataset.patched` turns a parent version's tables into a
-    child's. The per-dimension sort permutations (``hi_order`` /
-    ``lo_order``) are retained to keep tie blocks ordered by storage slot
-    — the invariant that makes a patched table bit-identical to a cold
-    rebuild of the same rows. Patch primitives never mutate the arrays in
-    place; they rebind fresh ones, so a :meth:`shallow` copy can share
-    every untouched dimension with its parent safely.
+    Tables are *patchable*: :meth:`add_rank` and :meth:`remove_rank` set
+    or clear one object's bit across at most ``u + 1`` rows, inserting a
+    row for a new value and dropping one whose last holder left, which is
+    how :meth:`PreparedDataset.patched` turns a parent version's tables
+    into a child's. The format is canonical — the rows depend only on the
+    objects' values — so a patched table equals a cold build of the same
+    storage array for array. Patches never mutate an array in place; they
+    rebind fresh ones, so a :meth:`shallow` copy can share every
+    untouched dimension with its parent safely.
     """
 
-    __slots__ = ("n", "suffix", "prefix", "sorted_hi", "sorted_lo", "hi_order", "lo_order", "words")
+    __slots__ = ("n", "suffix", "prefix", "hi_values", "lo_values", "words")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
+    def __init__(
+        self, lo: np.ndarray, hi: np.ndarray, columns: list[tuple[np.ndarray, np.ndarray]] | None = None
+    ) -> None:
         n, d = lo.shape
         self.n = n
         self.words = (n + 63) >> 6
-        self.suffix: list[np.ndarray] = []
-        self.prefix: list[np.ndarray] = []
-        self.sorted_hi: list[np.ndarray] = []
-        self.sorted_lo: list[np.ndarray] = []
-        self.hi_order: list[np.ndarray] = []
-        self.lo_order: list[np.ndarray] = []
-        arange = np.arange(n)
-        zero_row = np.zeros((1, self.words), dtype=np.uint64)
-        for dim in range(d):
-            hi_order = np.argsort(hi[:, dim], kind="stable")
-            one_hot = np.zeros((n, self.words), dtype=np.uint64)
-            one_hot[arange, hi_order >> 6] = np.uint64(1) << (hi_order & 63).astype(np.uint64)
-            suffix = np.bitwise_or.accumulate(one_hot[::-1], axis=0)[::-1]
-            self.suffix.append(np.concatenate([suffix, zero_row]))
-            self.sorted_hi.append(hi[hi_order, dim])
-            self.hi_order.append(hi_order.astype(np.intp))
-
-            lo_order = np.argsort(lo[:, dim], kind="stable")
-            one_hot = np.zeros((n, self.words), dtype=np.uint64)
-            one_hot[arange, lo_order >> 6] = np.uint64(1) << (lo_order & 63).astype(np.uint64)
-            prefix = np.bitwise_or.accumulate(one_hot, axis=0)
-            self.prefix.append(np.concatenate([zero_row, prefix]))
-            self.sorted_lo.append(lo[lo_order, dim])
-            self.lo_order.append(lo_order.astype(np.intp))
+        columns = _column_values(lo, hi) if columns is None else columns
+        self.hi_values = [values for values, _ in columns[:d]]
+        self.lo_values = [values for values, _ in columns[d:]]
+        self.suffix = [
+            _rank_rows(ranks, values.size, self.words, suffix=True) for values, ranks in columns[:d]
+        ]
+        self.prefix = [
+            _rank_rows(ranks, values.size, self.words, suffix=False) for values, ranks in columns[d:]
+        ]
 
     @property
     def nbytes(self) -> int:
         return sum(
             arr.nbytes
-            for group in (
-                self.suffix,
-                self.prefix,
-                self.sorted_hi,
-                self.sorted_lo,
-                self.hi_order,
-                self.lo_order,
-            )
+            for group in (self.suffix, self.prefix, self.hi_values, self.lo_values)
             for arr in group
         )
 
@@ -396,45 +313,71 @@ class _BitsetTables:
         clone.words = self.words
         clone.suffix = list(self.suffix)
         clone.prefix = list(self.prefix)
-        clone.sorted_hi = list(self.sorted_hi)
-        clone.sorted_lo = list(self.sorted_lo)
-        clone.hi_order = list(self.hi_order)
-        clone.lo_order = list(self.lo_order)
+        clone.hi_values = list(self.hi_values)
+        clone.lo_values = list(self.lo_values)
         return clone
 
-    def _side(self, kind: str, dim: int):
+    def _side(self, kind: str):
         if kind == "suffix":
-            return self.suffix, self.sorted_hi, self.hi_order
-        return self.prefix, self.sorted_lo, self.lo_order
+            return self.suffix, self.hi_values
+        return self.prefix, self.lo_values
 
-    def insert_rank(self, dim: int, kind: str, value: float, slot: int, width: int) -> None:
-        """Splice the rank entry of storage *slot* (sentinel *value*) in.
+    def add_rank(self, dim: int, kind: str, value: float, slot: int, width: int) -> int:
+        """Add storage *slot* holding sentinel *value*; returns rows touched.
 
-        ``width`` is the target word count (``>= self.words``); widening
-        happens for free inside the same allocation when the new slot
-        crosses a 64-bit word boundary. One ``O(rows · width)`` slice copy
-        plus an ``O(rows)`` strided bit fix — no sorting.
+        Sets the slot's bit in the rows of every value up to *value*
+        (suffix) or from *value* on (prefix), inserting *value*'s row
+        first when the column does not hold it yet. ``width`` is the
+        target word count (``>= self.words``): the copy widens for free
+        when the new slot crosses a 64-bit word boundary.
         """
-        tables, vals, orders = self._side(kind, dim)
-        position = _rank_position(vals[dim], orders[dim], value, slot)
-        tables[dim] = _spliced_rank_row(tables[dim], position, slot, kind, width)
-        vals[dim] = np.insert(vals[dim], position, value)
-        orders[dim] = np.insert(orders[dim], position, slot)
+        tables, column_values = self._side(kind)
+        table, values = tables[dim], column_values[dim]
+        pos = int(np.searchsorted(values, value))
+        exists = pos < values.size and values[pos] == value
+        rows, w = table.shape[0] + (0 if exists else 1), table.shape[1]
+        out = np.zeros((rows, width), dtype=np.uint64)
+        if exists:
+            out[:, :w] = table
+        else:
+            # Duplicate row pos: one copy becomes the new value's row in a
+            # suffix table (objects strictly above it), the other in a
+            # prefix table (objects strictly below it).
+            out[: pos + 1, :w] = table[: pos + 1]
+            out[pos + 1 :, :w] = table[pos:]
+            column_values[dim] = np.insert(values, pos, value)
+        touched = slice(0, pos + 1) if kind == "suffix" else slice(pos + 1, rows)
+        out[touched, slot >> 6] |= np.uint64(1) << np.uint64(slot & 63)
+        tables[dim] = out
+        return touched.stop - touched.start + (0 if exists else 1)
 
-    def move_rank(self, dim: int, kind: str, old_value: float, new_value: float, slot: int) -> None:
-        """Re-rank one existing entry after its sentinel value changed.
+    def remove_rank(self, dim: int, kind: str, value: float, slot: int) -> int:
+        """Remove storage *slot* from *value*'s run; returns rows touched.
 
-        Fused remove+insert: one allocation per array, rows outside the
-        ``[old, new]`` rank window copied untouched.
+        Clears the slot's bit wherever :meth:`add_rank` set it and drops
+        *value*'s row when no other object holds the value any more.
         """
-        tables, vals, orders = self._side(kind, dim)
-        values, order = vals[dim], orders[dim]
-        q = _rank_position(values, order, old_value, slot, existing=True)
-        at = _rank_position(values, order, new_value, slot)
-        p = at - 1 if q < at else at  # insertion position in the removed order
-        tables[dim] = _moved_rank_row(tables[dim], q, p, slot, kind)
-        vals[dim] = _moved_entry(values, q, p, new_value)
-        orders[dim] = _moved_entry(order, q, p, slot)
+        tables, column_values = self._side(kind)
+        table, values = tables[dim], column_values[dim]
+        pos = int(np.searchsorted(values, value))
+        if pos >= values.size or values[pos] != value:
+            raise InvalidParameterError(
+                f"rank entry for slot {slot} at value {value!r} not found (corrupt tables?)"
+            )
+        word, bit = slot >> 6, np.uint64(1) << np.uint64(slot & 63)
+        own = pos if kind == "suffix" else pos + 1
+        other = pos + 1 if kind == "suffix" else pos
+        holders = table[own] & ~table[other]
+        holders[word] &= ~bit
+        if holders.any():
+            out, stop = table.copy(), pos + 1
+        else:
+            out, stop = np.delete(table, own, axis=0), pos
+            column_values[dim] = np.delete(values, pos)
+        touched = slice(0, stop) if kind == "suffix" else slice(pos + 1, out.shape[0])
+        out[touched, word] &= ~bit
+        tables[dim] = out
+        return touched.stop - touched.start + (stop == pos)
 
     def _accumulators(self, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray):
         """The two packed accumulators both dominance directions share.
@@ -449,12 +392,12 @@ class _BitsetTables:
         incomparable objects.
         """
         d = len(self.suffix)
-        le_acc = self.suffix[0][np.searchsorted(self.sorted_hi[0], lo[idx, 0], side="left")]
-        not_lt_acc = self.prefix[0][np.searchsorted(self.sorted_lo[0], hi[idx, 0], side="right")]
+        le_acc = self.suffix[0][np.searchsorted(self.hi_values[0], lo[idx, 0], side="left")]
+        not_lt_acc = self.prefix[0][np.searchsorted(self.lo_values[0], hi[idx, 0], side="right")]
         for dim in range(1, d):
-            rank_ge = np.searchsorted(self.sorted_hi[dim], lo[idx, dim], side="left")
+            rank_ge = np.searchsorted(self.hi_values[dim], lo[idx, dim], side="left")
             np.bitwise_and(le_acc, self.suffix[dim][rank_ge], out=le_acc)
-            rank_le = np.searchsorted(self.sorted_lo[dim], hi[idx, dim], side="right")
+            rank_le = np.searchsorted(self.lo_values[dim], hi[idx, dim], side="right")
             np.bitwise_and(not_lt_acc, self.prefix[dim][rank_le], out=not_lt_acc)
         return le_acc, not_lt_acc
 
@@ -594,8 +537,9 @@ class PreparedDataset:
     Holds the ``lo``/``hi`` sentinel matrices eagerly (every route needs
     them; the seed rebuilt them per call) and two lazily built structures:
 
-    * the packed prefix/suffix :class:`_BitsetTables` (``O(d·n²/8)``
-      bytes, built on the first call whose batch justifies them), and
+    * the packed prefix/suffix :class:`_BitsetTables` (``O(d·u·n/8)``
+      bytes for ``u`` distinct values per column, built in
+      ``O(d·u·n/64)`` on the first call whose batch justifies them), and
     * per-dimension packed *observed* bitsets (``d × ⌈n/64⌉`` words) that
       turn incomparability counting into ``d`` conditional ORs plus one
       popcount per object.
@@ -660,7 +604,7 @@ class PreparedDataset:
         self._observed_bits: np.ndarray | None = None
         self._tail_mask: np.ndarray | None = None
         #: Guards the lazy builds: concurrent threads must not duplicate
-        #: an O(d·n²/64) table build (or observe a half-written entry).
+        #: an O(d·u·n/64) table build (or observe a half-written entry).
         self._build_lock = make_lock("prepared", reentrant=False)
         #: Accumulated seconds spent building this entry (sentinels plus
         #: any lazy structures) — the *rebuild cost* the session cache's
@@ -846,14 +790,7 @@ class PreparedDataset:
             arrays.append(self._live)
         if self._tables is not None:
             tables = self._tables
-            for group in (
-                tables.suffix,
-                tables.prefix,
-                tables.sorted_hi,
-                tables.sorted_lo,
-                tables.hi_order,
-                tables.lo_order,
-            ):
+            for group in (tables.suffix, tables.prefix, tables.hi_values, tables.lo_values):
                 arrays.extend(group)
         if self._observed_bits is not None:
             arrays.append(self._observed_bits)
@@ -900,20 +837,23 @@ class PreparedDataset:
         """The packed bitset tables; built on demand when *build* is true.
 
         Returns ``None`` when the tables are not built and either *build*
-        is false or they would exceed the per-table memory budget.
-        Thread-safe: one builder wins, others wait on the build lock.
+        is false or they would exceed the per-table memory budget. The
+        budget is checked on the measured distinct counts of every column
+        before any table is allocated. Thread-safe: one builder wins,
+        others wait on the build lock.
         """
-        if (
-            self._tables is None
-            and build
-            and _bitset_table_bytes(self._storage_n, self.d) <= _BITSET_TABLE_BUDGET_BYTES
-        ):
+        if self._tables is None and build:
             with self._build_lock:
                 if self._tables is None:
+                    start = _clock()
+                    columns = _column_values(self.lo, self.hi)
+                    distinct = [values.size for values, _ in columns]
+                    table_bytes = _bitset_table_bytes(self._storage_n, self.d, distinct)
+                    if table_bytes > _BITSET_TABLE_BUDGET_BYTES:
+                        return None
                     with telemetry.trace("kernel.build_tables") as span:
-                        span.set("n", self._storage_n).set("d", self.d)
-                        start = _clock()
-                        self._tables = _BitsetTables(self.lo, self.hi)
+                        span.set("n", self._storage_n).set("d", self.d).set("bytes", table_bytes)
+                        self._tables = _BitsetTables(self.lo, self.hi, columns)
                         elapsed = _clock() - start
                     self.build_seconds += elapsed
                     if telemetry.enabled():
@@ -963,12 +903,13 @@ class PreparedDataset:
     def patched(self, delta: SentinelDelta, *, inplace: bool = False) -> "PreparedDataset":
         """Advance to the child version under *delta* without a rebuild.
 
-        Updates re-rank the changed dimensions only (two rank splices per
-        changed dimension per direction); deletions tombstone their slot
-        (poisoned sentinels + live-mask, ``O(d)``); insertions append new
-        bit positions (one rank splice per dimension per direction). The
-        resulting structure answers child-version queries bit-identically
-        to a cold rebuild of the child dataset.
+        Updates re-rank the changed dimensions only (one bit cleared and
+        one set per changed dimension and direction); deletions tombstone
+        their slot (poisoned sentinels + live-mask, ``O(d)``); insertions
+        append new bit positions (one bit set per dimension and
+        direction). Each of those touches at most ``u + 2`` rows of one
+        compact table. The resulting structure answers child-version
+        queries bit-identically to a cold rebuild of the child dataset.
 
         With ``inplace=False`` (the default) ``self`` stays valid — parent
         and child share every untouched table array copy-on-write, which
@@ -977,69 +918,77 @@ class PreparedDataset:
         used on a privately owned instance, e.g. by
         :class:`~repro.engine.session.ContinuousQuery`.
         """
-        start = _clock()
-        inserts = delta.inserts
-        target = self if inplace else self._spawn(extra_rows=inserts)
-        if inplace:
-            target._ensure_capacity(self._storage_n + inserts)
-            target._observed_bits = None
-            target._tail_mask = None
-        tables = target._tables
+        with telemetry.trace("kernel.patch_tables") as span:
+            start = _clock()
+            inserts = delta.inserts
+            target = self if inplace else self._spawn(extra_rows=inserts)
+            if inplace:
+                target._ensure_capacity(self._storage_n + inserts)
+                target._observed_bits = None
+                target._tail_mask = None
+            tables = target._tables
+            touched = 0
 
-        # 1. Updates: re-rank changed dimensions (old sentinel values are
-        #    still in the buffers — read them before overwriting).
-        if delta.update_rows.size:
-            slots = target.slots_of(delta.update_rows)
-            for j, slot in enumerate(slots):
-                slot = int(slot)
-                old_lo, old_hi = target._lo_buf[slot].copy(), target._hi_buf[slot].copy()
+            # 1. Updates: re-rank changed dimensions (old sentinel values are
+            #    still in the buffers — read them before overwriting).
+            if delta.update_rows.size:
+                slots = target.slots_of(delta.update_rows)
+                for j, slot in enumerate(slots):
+                    slot = int(slot)
+                    if tables is not None:
+                        for dim in range(target.d):
+                            for kind, buf, new in (
+                                ("suffix", target._hi_buf, delta.update_hi),
+                                ("prefix", target._lo_buf, delta.update_lo),
+                            ):
+                                old_value, new_value = float(buf[slot, dim]), float(new[j, dim])
+                                if old_value != new_value:
+                                    touched += tables.remove_rank(dim, kind, old_value, slot)
+                                    touched += tables.add_rank(
+                                        dim, kind, new_value, slot, tables.words
+                                    )
+                    target._lo_buf[slot] = delta.update_lo[j]
+                    target._hi_buf[slot] = delta.update_hi[j]
+                    target._obs_buf[slot] = delta.update_observed[j]
+
+            # 2. Deletions: tombstone — no table traffic at all.
+            if delta.delete_rows.size:
+                slots = target.slots_of(delta.delete_rows)
+                if target._live is None:
+                    live = np.ones(target._lo_buf.shape[0], dtype=bool)
+                    live[target._storage_n :] = False
+                    target._live = live
+                target._live[slots] = False
+                target._lo_buf[slots] = np.inf
+                target._hi_buf[slots] = -np.inf
+                target._obs_buf[slots] = False
+                target._tombstones += int(slots.size)
+
+            # 3. Insertions: append new bit positions at the end of storage.
+            for j in range(inserts):
+                slot = target._storage_n
                 if tables is not None:
+                    width = max(tables.words, (slot >> 6) + 1)
                     for dim in range(target.d):
-                        new_hi = delta.update_hi[j, dim]
-                        if old_hi[dim] != new_hi:
-                            tables.move_rank(dim, "suffix", float(old_hi[dim]), float(new_hi), slot)
-                        new_lo = delta.update_lo[j, dim]
-                        if old_lo[dim] != new_lo:
-                            tables.move_rank(dim, "prefix", float(old_lo[dim]), float(new_lo), slot)
-                target._lo_buf[slot] = delta.update_lo[j]
-                target._hi_buf[slot] = delta.update_hi[j]
-                target._obs_buf[slot] = delta.update_observed[j]
+                        hi, lo = float(delta.insert_hi[j, dim]), float(delta.insert_lo[j, dim])
+                        touched += tables.add_rank(dim, "suffix", hi, slot, width)
+                        touched += tables.add_rank(dim, "prefix", lo, slot, width)
+                    tables.words = width
+                    tables.n += 1
+                target._lo_buf[slot] = delta.insert_lo[j]
+                target._hi_buf[slot] = delta.insert_hi[j]
+                target._obs_buf[slot] = delta.insert_observed[j]
+                if target._live is not None:
+                    target._live[slot] = True
+                target._storage_n += 1
 
-        # 2. Deletions: tombstone — no table traffic at all.
-        if delta.delete_rows.size:
-            slots = target.slots_of(delta.delete_rows)
-            if target._live is None:
-                live = np.ones(target._lo_buf.shape[0], dtype=bool)
-                live[target._storage_n :] = False
-                target._live = live
-            target._live[slots] = False
-            target._lo_buf[slots] = np.inf
-            target._hi_buf[slots] = -np.inf
-            target._obs_buf[slots] = False
-            target._tombstones += int(slots.size)
-
-        # 3. Insertions: append new bit positions at the end of storage.
-        for j in range(inserts):
-            slot = target._storage_n
-            if tables is not None:
-                width = max(tables.words, (slot >> 6) + 1)
-                for dim in range(target.d):
-                    tables.insert_rank(dim, "suffix", float(delta.insert_hi[j, dim]), slot, width)
-                    tables.insert_rank(dim, "prefix", float(delta.insert_lo[j, dim]), slot, width)
-                tables.words = width
-                tables.n += 1
-            target._lo_buf[slot] = delta.insert_lo[j]
-            target._hi_buf[slot] = delta.insert_hi[j]
-            target._obs_buf[slot] = delta.insert_observed[j]
-            if target._live is not None:
-                target._live[slot] = True
-            target._storage_n += 1
-
-        target._n = self._n - int(delta.delete_rows.size) + inserts
-        target._live_slots = None
-        target._live_words = None
-        target._live_bounds = None
-        target.build_seconds = self.build_seconds + (_clock() - start)
+            target._n = self._n - int(delta.delete_rows.size) + inserts
+            target._live_slots = None
+            target._live_words = None
+            target._live_bounds = None
+            target.build_seconds = self.build_seconds + (_clock() - start)
+            span.set("inserts", inserts).set("updates", int(delta.update_rows.size))
+            span.set("deletes", int(delta.delete_rows.size)).set("rows_touched", touched)
         return target
 
     def _spawn(self, *, extra_rows: int) -> "PreparedDataset":
@@ -1125,10 +1074,8 @@ class PreparedDataset:
             for dim in range(self.d):
                 state[f"suffix{dim}"] = self._tables.suffix[dim]
                 state[f"prefix{dim}"] = self._tables.prefix[dim]
-                state[f"sorted_hi{dim}"] = self._tables.sorted_hi[dim]
-                state[f"sorted_lo{dim}"] = self._tables.sorted_lo[dim]
-                state[f"hi_order{dim}"] = self._tables.hi_order[dim]
-                state[f"lo_order{dim}"] = self._tables.lo_order[dim]
+                state[f"hi_values{dim}"] = self._tables.hi_values[dim]
+                state[f"lo_values{dim}"] = self._tables.lo_values[dim]
         return state
 
     @classmethod
@@ -1157,10 +1104,11 @@ class PreparedDataset:
             tables.words = int(np.asarray(state["words"])[0])
             tables.suffix = [np.ascontiguousarray(state[f"suffix{dim}"], dtype=np.uint64) for dim in range(d)]
             tables.prefix = [np.ascontiguousarray(state[f"prefix{dim}"], dtype=np.uint64) for dim in range(d)]
-            tables.sorted_hi = [np.ascontiguousarray(state[f"sorted_hi{dim}"], dtype=np.float64) for dim in range(d)]
-            tables.sorted_lo = [np.ascontiguousarray(state[f"sorted_lo{dim}"], dtype=np.float64) for dim in range(d)]
-            tables.hi_order = [np.ascontiguousarray(state[f"hi_order{dim}"], dtype=np.intp) for dim in range(d)]
-            tables.lo_order = [np.ascontiguousarray(state[f"lo_order{dim}"], dtype=np.intp) for dim in range(d)]
+            tables.hi_values = [np.ascontiguousarray(state[f"hi_values{dim}"], dtype=np.float64) for dim in range(d)]
+            tables.lo_values = [np.ascontiguousarray(state[f"lo_values{dim}"], dtype=np.float64) for dim in range(d)]
+            for group, values in ((tables.suffix, tables.hi_values), (tables.prefix, tables.lo_values)):
+                if any(t.shape[0] != v.size + 1 for t, v in zip(group, values)):
+                    raise ValueError("rank tables do not match their distinct values")
             prepared._tables = tables
         prepared._observed_bits = None
         prepared._tail_mask = None

@@ -72,7 +72,13 @@ import numpy as np
 from ..errors import InvalidParameterError
 from . import telemetry
 from .backend import SharedTables, unlink_shared
-from .kernels import PreparedDataset, _bounds, dominated_counts
+from .kernels import (
+    PreparedDataset,
+    _bitset_table_bytes,
+    _bounds,
+    _column_values,
+    dominated_counts,
+)
 from .telemetry import clock as _clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -372,6 +378,7 @@ class PartitionedDataset:
         self.dataset = dataset
         #: Concatenation position → dataset row (``None`` = identity).
         self.order = _order
+        self._table_bytes: int | None = None
         if _shards is not None:
             self.shards = _shards
             return
@@ -394,6 +401,22 @@ class PartitionedDataset:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(shard.n for shard in self.shards)
+
+    def table_bytes(self) -> int:
+        """Compact rank-table bytes of every shard, summed (memoised).
+
+        Sized from each shard's measured distinct counts, so nothing is
+        allocated: the figure the session's spill decision compares with
+        its memory budget.
+        """
+        if self._table_bytes is None:
+            total = 0
+            for shard in self.shards:
+                lo, hi = _bounds(shard.dataset)
+                distinct = [values.size for values, _ in _column_values(lo, hi)]
+                total += _bitset_table_bytes(shard.n, shard.dataset.d, distinct)
+            self._table_bytes = total
+        return self._table_bytes
 
     @property
     def imbalance(self) -> float:

@@ -22,7 +22,7 @@ the session object that makes the amortisation real:
   dataset fingerprint in a byte-budgeted LRU shared by every engine *and*
   by module-level kernel calls (``score_all``, ``dominance_matrix``, the
   MFD operator) through :func:`shared_prepared` — repeated full scans
-  build their ``O(d·n²/8)`` tables once;
+  build their ``O(d·u·n/8)`` tables once;
 * **batch API** — :meth:`QueryEngine.query_many` runs a parametrised
   sweep (the Fig. 12–17 loops, a leaderboard's k-ladder) against shared
   preparations, optionally sharded across a process pool
@@ -77,7 +77,6 @@ from .backend import SharedTables, select_backend, set_native_threads
 from .kernels import (
     PreparedDataset,
     SentinelDelta,
-    _bitset_table_bytes,
     dominated_counts,
     dominator_masks,
 )
@@ -217,7 +216,7 @@ class EngineStats:
     store_misses: int = 0
     store_writes: int = 0
     #: Versioned-update counters: deltas applied through this session,
-    #: split by how the prepared tables advanced (spliced vs rebuilt).
+    #: split by how the prepared tables advanced (patched vs rebuilt).
     deltas_applied: int = 0
     tables_patched: int = 0
     tables_rebuilt: int = 0
@@ -342,7 +341,7 @@ class PreparedDatasetCache:
     total fits again. Eviction is *cost-aware*: among every entry but the
     most recently used, the lowest measured rebuild-seconds-per-byte goes
     first (ties fall back to least-recently-used order), so cheap
-    sentinel-only entries yield before an expensive ``O(d·n²/64)`` table
+    sentinel-only entries yield before an ``O(d·u·n/64)`` table
     build. A single entry larger than the whole budget is kept (evicting
     it would only thrash rebuilds).
 
@@ -469,7 +468,7 @@ class PreparedDatasetCache:
                     telemetry.metrics().count("spill.attach.hit")
                 return entry[0]
             self.resident_misses += 1
-        # Load outside the lock: a miss may build + spill O(d·n²/64)
+        # Load outside the lock: a miss may build + spill O(d·u·n/64)
         # tables, which must not serialize every other cache user.
         with telemetry.trace("spill.attach") as span:
             prepared, nbytes = loader()
@@ -803,7 +802,7 @@ class QueryEngine:
         the default cache is process-wide. With a :attr:`store`, a cache
         miss first tries the persisted tables
         (:meth:`persist_prepared` / ``PersistentStore.put_prepared``), so
-        a fresh process warm-starts the ``O(d·n²/64)`` build from disk —
+        a fresh process warm-starts the ``O(d·u·n/64)`` build from disk —
         and when only an *ancestor* version is stored, the lineage
         records' embedded delta payloads patch it forward to this version
         (``stats.prepared_patched_forward``).
@@ -822,7 +821,7 @@ class QueryEngine:
         return self._dataset_cache.get_or_create(dataset, fingerprint)
 
     #: Longest stored-ancestor delta chain worth replaying; beyond this a
-    #: cold rebuild is usually cheaper than the accumulated splices.
+    #: cold rebuild is usually cheaper than the accumulated patches.
     _MAX_PATCH_FORWARD = 16
 
     def _patch_forward_from_store(self, dataset, fingerprint: str):
@@ -831,7 +830,7 @@ class QueryEngine:
         Walks the store's lineage records child-first; the first ancestor
         with persisted tables — reachable through records that all embed
         their delta payload — is loaded and patched forward, one
-        :meth:`PreparedDataset.patched` splice per recorded delta.
+        :meth:`PreparedDataset.patched` call per recorded delta.
         Returns ``None`` when no such ancestor exists (or the chain is
         broken, too deep, or inconsistent).
         """
@@ -890,8 +889,8 @@ class QueryEngine:
         version. Everything this session knows about the parent advances
         with it instead of being invalidated:
 
-        * a cached :class:`PreparedDataset` is **patched** (tables
-          spliced, deletions tombstoned) or — when
+        * a cached :class:`PreparedDataset` is **patched** (table bits
+          set and cleared, deletions tombstoned) or — when
           :func:`~repro.engine.planner.plan_delta` says the tombstone
           debt or delta size warrants it — compacted by one rebuild;
         * a maintained score vector is advanced by adjusting the
@@ -902,85 +901,88 @@ class QueryEngine:
           recorded so delta chains resolve to stored results across
           processes.
         """
-        if delta.is_empty:
-            return dataset
-        child = dataset.apply_delta(delta)
-        parent_fp = self.fingerprint(dataset)
-        child_fp = self.fingerprint(child)
-        with self._lock:
-            self.stats.deltas_applied += 1
-            parent_scores = self._scores.get(parent_fp, _MISSING)
-        if parent_scores is _MISSING or len(parent_scores) != dataset.n:
-            parent_scores = None
-
-        parent_prepared = self._dataset_cache.peek(parent_fp)
-        child_prepared = None
-        rebates = None
-        if parent_scores is not None and parent_prepared is None:
-            # The parent's structures were evicted: maintaining the score
-            # vector would silently rebuild full prepared state through
-            # the module-level shim — in the *global* cache, not this
-            # session's. Drop maintenance; the next query recomputes
-            # exactly (and re-seeds) through scores().
-            parent_scores = None
-        if parent_scores is not None:
-            # Parent-space mask work must read the parent's structures
-            # before any (even copy-on-write) patching bookkeeping.
-            rebates = _score_rebates(dataset, parent_prepared, delta)
-        if parent_prepared is not None:
+        with telemetry.trace("engine.apply_delta") as span:
             ops = delta.ops
-            plan = plan_delta(
-                parent_prepared.storage_n,
-                parent_prepared.d,
-                inserts=ops["inserts"],
-                deletes=ops["deletes"],
-                updates=ops["updates"],
-                tombstones=parent_prepared.tombstones,
-                tables_ready=parent_prepared.tables_ready,
-            )
-            if plan.action == "patch":
-                child_prepared = parent_prepared.patched(
-                    SentinelDelta.from_delta(delta, dataset.directions)
+            for key in ("inserts", "deletes", "updates"):
+                span.set(key, ops[key])
+            if delta.is_empty:
+                return dataset
+            child = dataset.apply_delta(delta)
+            parent_fp = self.fingerprint(dataset)
+            child_fp = self.fingerprint(child)
+            with self._lock:
+                self.stats.deltas_applied += 1
+                parent_scores = self._scores.get(parent_fp, _MISSING)
+            if parent_scores is _MISSING or len(parent_scores) != dataset.n:
+                parent_scores = None
+
+            parent_prepared = self._dataset_cache.peek(parent_fp)
+            child_prepared = None
+            rebates = None
+            if parent_scores is not None and parent_prepared is None:
+                # The parent's structures were evicted: maintaining the score
+                # vector would silently rebuild full prepared state through
+                # the module-level shim — in the *global* cache, not this
+                # session's. Drop maintenance; the next query recomputes
+                # exactly (and re-seeds) through scores().
+                parent_scores = None
+            if parent_scores is not None:
+                # Parent-space mask work must read the parent's structures
+                # before any (even copy-on-write) patching bookkeeping.
+                rebates = _score_rebates(dataset, parent_prepared, delta)
+            if parent_prepared is not None:
+                plan = plan_delta(
+                    parent_prepared.storage_n,
+                    parent_prepared.d,
+                    inserts=ops["inserts"],
+                    deletes=ops["deletes"],
+                    updates=ops["updates"],
+                    tombstones=parent_prepared.tombstones,
+                    tables_ready=parent_prepared.tables_ready,
+                )
+                if plan.action == "patch":
+                    child_prepared = parent_prepared.patched(
+                        SentinelDelta.from_delta(delta, dataset.directions)
+                    )
+                    with self._lock:
+                        self.stats.tables_patched += 1
+                else:
+                    child_prepared = PreparedDataset(child)
+                    if parent_prepared.tables_ready:
+                        child_prepared.tables(build=True)
+                    with self._lock:
+                        self.stats.tables_rebuilt += 1
+                self._dataset_cache.put(child_fp, child_prepared)
+
+            if parent_scores is not None:
+                child_scores, _changed = _advance_scores(
+                    rebates, parent_scores, child, child_prepared, delta
                 )
                 with self._lock:
-                    self.stats.tables_patched += 1
-            else:
-                child_prepared = PreparedDataset(child)
-                if parent_prepared.tables_ready:
-                    child_prepared.tables(build=True)
+                    self._scores.put(child_fp, child_scores)
+
+            if self._store is not None:
+                from .store import MAX_LINEAGE_PAYLOAD_CELLS
+
+                payload = delta.payload() if delta.cells <= MAX_LINEAGE_PAYLOAD_CELLS else None
+                self._store.record_lineage(
+                    child_fp, parent_fp, delta.digest(), delta.ops, payload=payload
+                )
+
+            # A maintained partitioned view advances with the version: the
+            # delta routes to its owning shard(s) only, and each touched
+            # shard's PreparedDataset is patched (or rebuilt) under the shard
+            # child's own fingerprint — O(|delta|) per affected partition.
+            with self._lock:
+                view = self._partitioned.get(parent_fp, _MISSING)
+            if view is not _MISSING:
+                child_view, advanced = view.apply_delta(delta, child=child)
+                for parent_shard, sub_delta, child_shard in advanced:
+                    self._advance_shard_prepared(parent_shard, sub_delta, child_shard)
                 with self._lock:
-                    self.stats.tables_rebuilt += 1
-            self._dataset_cache.put(child_fp, child_prepared)
-
-        if parent_scores is not None:
-            child_scores, _changed = _advance_scores(
-                rebates, parent_scores, child, child_prepared, delta
-            )
-            with self._lock:
-                self._scores.put(child_fp, child_scores)
-
-        if self._store is not None:
-            from .store import MAX_LINEAGE_PAYLOAD_CELLS
-
-            payload = delta.payload() if delta.cells <= MAX_LINEAGE_PAYLOAD_CELLS else None
-            self._store.record_lineage(
-                child_fp, parent_fp, delta.digest(), delta.ops, payload=payload
-            )
-
-        # A maintained partitioned view advances with the version: the
-        # delta routes to its owning shard(s) only, and each touched
-        # shard's PreparedDataset is patched (or rebuilt) under the shard
-        # child's own fingerprint — O(|delta|) per affected partition.
-        with self._lock:
-            view = self._partitioned.get(parent_fp, _MISSING)
-        if view is not _MISSING:
-            child_view, advanced = view.apply_delta(delta, child=child)
-            for parent_shard, sub_delta, child_shard in advanced:
-                self._advance_shard_prepared(parent_shard, sub_delta, child_shard)
-            with self._lock:
-                self._partitioned.put(child_fp, child_view)
-                self.stats.partition_imbalance = float(child_view.imbalance)
-        return child
+                    self._partitioned.put(child_fp, child_view)
+                    self.stats.partition_imbalance = float(child_view.imbalance)
+            return child
 
     def _advance_shard_prepared(self, parent_shard, sub_delta, child_shard) -> None:
         """Patch one shard's cached PreparedDataset to its child version."""
@@ -1364,10 +1366,7 @@ class QueryEngine:
         # a budget-bounded resident set attached.
         spill_store = None
         if self.memory_budget is not None:
-            table_bytes = sum(
-                _bitset_table_bytes(shard.n, dataset.d) for shard in view.shards
-            )
-            if table_bytes > self.memory_budget:
+            if view.table_bytes() > self.memory_budget:
                 spill_store = self._spill_store()
                 root.set("spill", True)
                 with self._lock:
@@ -1823,25 +1822,33 @@ class ContinuousQuery:
         """Insert a batch of rows; returns their ids."""
         from ..core.delta import DatasetDelta
 
-        delta = DatasetDelta.inserting(self._dataset, rows, ids=ids)
-        before = self._dataset.n
-        self.apply(delta)
-        return self._dataset.ids[before:]
+        with telemetry.trace("continuous.insert"):
+            delta = DatasetDelta.inserting(self._dataset, rows, ids=ids)
+            before = self._dataset.n
+            self._apply(delta)
+            return self._dataset.ids[before:]
 
     def delete(self, ids: Sequence[str]) -> None:
         """Delete a batch of objects by id."""
         from ..core.delta import DatasetDelta
 
-        self.apply(DatasetDelta.deleting(self._dataset, ids))
+        with telemetry.trace("continuous.delete"):
+            self._apply(DatasetDelta.deleting(self._dataset, ids))
 
     def update(self, updates: Mapping[str, Sequence]) -> None:
         """Update a batch of objects (full rows or partial dim mappings)."""
         from ..core.delta import DatasetDelta
 
-        self.apply(DatasetDelta.updating(self._dataset, updates))
+        with telemetry.trace("continuous.update"):
+            self._apply(DatasetDelta.updating(self._dataset, updates))
 
     def apply(self, delta) -> None:
         """Advance this view by one delta (the engine counts it)."""
+        with telemetry.trace("continuous.apply"):
+            self._apply(delta)
+
+    def _apply(self, delta) -> None:
+        """The body of every write: patch or rebuild, then advance scores."""
         if delta.is_empty:
             return
         child = self._dataset.apply_delta(delta)

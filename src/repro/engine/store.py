@@ -83,7 +83,10 @@ __all__ = [
 #: 5: spilled shard tables — raw aligned binary files (``shard-*.bin``)
 #:    plus a shards index, attachable as memory-mapped views for
 #:    out-of-core partitioned execution.
-STORE_SCHEMA = 5
+#: 6: compact rank tables — prepared ``.npz`` entries and shard files
+#:    carry one row per distinct value (``hi_values{d}``/``lo_values{d}``)
+#:    instead of the full per-object tables and sort orders.
+STORE_SCHEMA = 6
 
 #: Deltas at most this many matrix cells embed their payload in the
 #: lineage record, so a cold process can patch a stored ancestor's tables
@@ -94,7 +97,7 @@ MAX_LINEAGE_PAYLOAD_CELLS = 4096
 #: k ids/scores each — so this admits hundreds of thousands of answers).
 _DEFAULT_STORE_BUDGET_BYTES = 64 * 1024 * 1024
 
-#: Default byte budget for persisted prepared tables (``O(d·n²/8)`` each,
+#: Default byte budget for persisted prepared tables (``O(d·u·n/8)`` each,
 #: so this holds a handful of warm-startable datasets).
 _DEFAULT_PREPARED_BUDGET_BYTES = 256 * 1024 * 1024
 
@@ -721,7 +724,7 @@ class PersistentStore:
 
         Sentinel arrays, tombstone state, and — when built — the packed
         bitset tables land in one ``.npz`` sibling file, so a fresh
-        process skips the ``O(d·n²/64)`` table build for this version
+        process skips the ``O(d·u·n/64)`` table build for this version
         entirely (the ROADMAP's warm-start item). Overflowing
         ``max_prepared_bytes`` evicts the lowest effective
         rebuild-cost-per-byte entries, age-decayed like every other
@@ -774,6 +777,9 @@ class PersistentStore:
         try:
             return PreparedDataset.from_state(state)
         except (KeyError, ValueError, IndexError):
+            # An array set of another table format behind a current index
+            # row: stale, never misread.
+            self.stats.invalidations += 1
             return None
 
     def prepared_entries(self) -> list[dict]:

@@ -157,30 +157,6 @@ class TestBackendParity:
                 ).tolist()
         assert per_backend["numpy"] == per_backend["native"]
 
-    @pytest.mark.parametrize("kind", ("suffix", "prefix"))
-    @pytest.mark.parametrize("position", (0, 1, 99))
-    def test_spliced_rank_row(self, make_incomplete, kind, position):
-        ds = make_incomplete(100, 3, missing_rate=0.2, seed=2)
-        prepared = _tabled(ds)
-        tables = prepared.tables()
-        table = tables.suffix[0] if kind == "suffix" else tables.prefix[0]
-        for slot, width in ((17, tables.words), (63, tables.words + 1)):
-            expected = kernels._spliced_rank_row_numpy(table, position, slot, kind, width)
-            with use_backend("native"):
-                got = kernels._spliced_rank_row(table, position, slot, kind, width)
-            np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("kind", ("suffix", "prefix"))
-    @pytest.mark.parametrize("q,p", ((5, 5), (80, 3), (3, 80), (0, 99), (99, 0)))
-    def test_moved_rank_row(self, make_incomplete, kind, q, p):
-        ds = make_incomplete(100, 3, missing_rate=0.2, seed=4)
-        tables = _tabled(ds).tables()
-        table = tables.suffix[1] if kind == "suffix" else tables.prefix[1]
-        expected = kernels._moved_rank_row_numpy(table, q, p, 42, kind)
-        with use_backend("native"):
-            got = kernels._moved_rank_row(table, q, p, 42, kind)
-        np.testing.assert_array_equal(got, expected)
-
     def test_update_stream_parity(self, make_incomplete):
         """Whole insert/update/delete sequences agree across backends."""
         answers = {}

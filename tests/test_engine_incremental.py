@@ -67,17 +67,13 @@ def random_delta(dataset, seed):
 
 
 def tables_identical(a, b) -> None:
-    """Assert two table sets are bit-identical (slack words must be 0)."""
-    words = (a.n + 63) >> 6
-    for dim in range(len(a.suffix)):
-        for attr in ("suffix", "prefix"):
-            ta, tb = getattr(a, attr)[dim], getattr(b, attr)[dim]
-            assert np.array_equal(ta[:, :words], tb[:, :words]), f"{attr}[{dim}]"
-            for table in (ta, tb):
-                if table.shape[1] > words:
-                    assert not table[:, words:].any(), f"{attr}[{dim}] slack dirty"
-        for attr in ("sorted_hi", "sorted_lo", "hi_order", "lo_order"):
-            assert np.array_equal(getattr(a, attr)[dim], getattr(b, attr)[dim]), f"{attr}[{dim}]"
+    """Assert two compact table sets are equal array for array."""
+    assert (a.n, a.words) == (b.n, b.words)
+    for attr in ("suffix", "prefix", "hi_values", "lo_values"):
+        assert len(getattr(a, attr)) == len(getattr(b, attr)), attr
+        for dim, (x, y) in enumerate(zip(getattr(a, attr), getattr(b, attr))):
+            assert x.dtype == y.dtype and x.shape == y.shape, f"{attr}[{dim}]"
+            assert np.array_equal(x, y), f"{attr}[{dim}]"
 
 
 class TestDatasetDelta:
@@ -583,3 +579,105 @@ class TestMultiKSubscriptions:
         scores = score_all(live.dataset)
         want = tuple(sorted(scores, reverse=True)[:5])
         assert tuple(sorted((s for _, s in results[5]), reverse=True)) == want
+
+
+class TestCompactPatches:
+    """Patches set or clear one bit per compact table, insert a row for a
+    new value and drop the row of a value whose last holder left; the
+    result equals a cold build array for array."""
+
+    @staticmethod
+    def _advance(prepared, child, delta, **kwargs):
+        prepared = prepared.patched(SentinelDelta.from_delta(delta, child.directions), **kwargs)
+        return prepared, child.apply_delta(delta)
+
+    @staticmethod
+    def _cold(dataset):
+        cold = PreparedDataset(dataset)
+        cold.tables(build=True)
+        return cold.tables(build=False)
+
+    def test_insert_of_a_new_value_adds_one_row(self):
+        ds = random_dataset(40, seed=31)
+        prepared = PreparedDataset(ds)
+        tables = prepared.tables(build=True)
+        assert 2.5 not in tables.hi_values[0]
+        rows = tables.suffix[0].shape[0]
+        delta = DatasetDelta.inserting(ds, [[2.5, 1.0, 1.0, 1.0]])
+        child_prepared, child = self._advance(prepared, ds, delta)
+        patched = child_prepared.tables(build=False)
+        assert patched.suffix[0].shape[0] == rows + 1
+        assert 2.5 in patched.hi_values[0] and 2.5 in patched.lo_values[0]
+        tables_identical(patched, self._cold(child))
+        # Copy-on-write: the parent's arrays are untouched.
+        assert tables.suffix[0].shape[0] == rows and 2.5 not in tables.hi_values[0]
+
+    def test_update_that_empties_a_run_drops_its_row(self):
+        values = np.array([[1.0, 1.0], [2.0, 2.0], [7.0, 2.0], [2.0, 1.0]])
+        ds = IncompleteDataset(values)
+        prepared = PreparedDataset(ds)
+        prepared.tables(build=True)
+        delta = DatasetDelta.updating(ds, {ds.ids[2]: {0: 1.0}})  # 7 had one holder
+        child_prepared, child = self._advance(prepared, ds, delta)
+        patched = child_prepared.tables(build=False)
+        assert patched.hi_values[0].tolist() == [1.0, 2.0]
+        assert patched.suffix[0].shape == (3, 1)
+        tables_identical(patched, self._cold(child))
+
+    def test_insert_crossing_a_word_boundary_widens_every_table(self):
+        ds = random_dataset(64, seed=32)
+        prepared = PreparedDataset(ds)
+        assert prepared.tables(build=True).words == 1
+        delta = DatasetDelta.inserting(ds, [[9.0, np.nan, 3.0, 0.0]])
+        child_prepared, child = self._advance(prepared, ds, delta)
+        patched = child_prepared.tables(build=False)
+        assert patched.words == 2
+        assert all(t.shape[1] == 2 for t in patched.suffix + patched.prefix)
+        tables_identical(patched, self._cold(child))
+
+    def test_random_insert_update_sequence_equals_cold_build(self):
+        ds = random_dataset(50, seed=33)
+        prepared = PreparedDataset(ds)
+        prepared.tables(build=True)
+        child = ds
+        rng = np.random.default_rng(34)
+        # Values drawn from 40 levels keep runs short, so updates keep
+        # emptying runs and inserts keep adding new values.
+        for step in range(200):
+            if rng.random() < 0.4:
+                row = rng.integers(0, 40, size=(1, 4)).astype(float)
+                row[0, rng.random(4) < 0.3] = np.nan
+                row[0, int(rng.integers(0, 4))] = float(rng.integers(0, 40))
+                delta = DatasetDelta.inserting(child, row)
+            else:
+                target = child.ids[int(rng.integers(0, child.n))]
+                dim = int(rng.integers(0, 4))
+                value = None if rng.random() < 0.2 else float(rng.integers(0, 40))
+                row = child.values[child.index_of(target)].copy()
+                row[dim] = np.nan if value is None else value
+                if np.isnan(row).all():
+                    continue
+                delta = DatasetDelta.updating(child, {target: {dim: value}})
+            prepared, child = self._advance(prepared, child, delta, inplace=step % 2 == 1)
+        assert child.n > 100  # crossed at least one word boundary
+        tables_identical(prepared.tables(build=False), self._cold(child))
+        assert np.array_equal(dominated_counts(child, prepared=prepared), score_all(child))
+
+    def test_sequence_with_deletes_answers_like_cold_and_compacts_equal(self):
+        ds = random_dataset(70, seed=35)
+        prepared = PreparedDataset(ds)
+        prepared.tables(build=True)
+        child = ds
+        for step in range(60):
+            delta = random_delta(child, seed=3500 + step)
+            prepared, child = self._advance(prepared, child, delta, inplace=step > 0)
+        assert prepared.tombstones > 0
+        cold = PreparedDataset(child)
+        cold.tables(build=True)
+        assert np.array_equal(
+            dominated_counts(child, prepared=prepared), dominated_counts(child, prepared=cold)
+        )
+        assert np.array_equal(
+            dominator_masks(child, prepared=prepared), dominator_masks(child, prepared=cold)
+        )
+        tables_identical(prepared.compacted(child).tables(build=False), cold.tables(build=False))

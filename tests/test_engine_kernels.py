@@ -24,6 +24,7 @@ from repro.core.big import max_bit_scores
 from repro.bitmap.index import BitmapIndex
 from repro.engine.kernels import (
     PreparedDataset,
+    _BitsetTables,
     _popcount_rows,
     _popcount_rows_lookup,
     _use_bitsets,
@@ -448,8 +449,27 @@ class TestCachedTableEligibility:
         # Cached: any batch rides the tables (they are already paid for).
         assert _use_bitsets(4000, 4, 3, cached=True)
         assert _use_bitsets(300, 4, 1, cached=True)
-        # ...unless the tables could never fit the budget at all.
-        assert not _use_bitsets(10_000_000, 20, 1, cached=True)
+
+    def test_budget_gate_measures_distinct_counts(self, make_incomplete, monkeypatch):
+        """Whether tables fit is decided in ``tables()`` on the measured
+        distinct counts: discrete data fits a budget its shape-only bound
+        (u = n) exceeds, continuous data of the same shape does not."""
+        from repro.engine import kernels
+
+        discrete = make_incomplete(700, 4, missing_rate=0.3, seed=3)
+        rng = np.random.default_rng(3)
+        continuous = IncompleteDataset(rng.random((700, 4)), directions="min")
+        budget = kernels._bitset_table_bytes(700, 4) // 4
+        monkeypatch.setattr(kernels, "_BITSET_TABLE_BUDGET_BYTES", budget)
+        prepared = PreparedDataset(discrete)
+        assert prepared.tables(build=True) is not None
+        assert prepared.tables(build=False).nbytes < budget
+        refused = PreparedDataset(continuous)
+        assert refused.tables(build=True) is None
+        assert not refused.tables_ready
+        got = dominated_counts(continuous, prepared=refused)  # broadcast fallback
+        assert not refused.tables_ready
+        assert got[:50].tolist() == [int(dominated_mask(continuous, i).sum()) for i in range(50)]
 
     def test_small_batch_uses_cached_tables(self, make_incomplete, monkeypatch):
         ds = make_incomplete(700, 4, missing_rate=0.3, seed=3)
@@ -522,3 +542,106 @@ class TestAutoBlock:
         block = auto_block(5000, 6)
         assert 8 <= block <= 1024
         assert block * 5000 * 6 <= 2 * 4_000_000  # within 2x of the budget
+
+
+def _full_format_tables(lo, hi):
+    """The former full table format, kept as the reference: one row per
+    object in stable sort order (plus the empty row), and the sorted
+    columns with their duplicates. A lookup into sorted columns lands on
+    the first or last row of a run of equal values, so the unchanged
+    accumulator kernels read it exactly as they read the compact format."""
+    n, d = lo.shape
+    words = (n + 63) >> 6
+    arange = np.arange(n)
+    zero = np.zeros((1, words), dtype=np.uint64)
+    tables = _BitsetTables.__new__(_BitsetTables)
+    tables.n, tables.words = n, words
+    tables.suffix, tables.prefix, tables.hi_values, tables.lo_values = [], [], [], []
+    for dim in range(d):
+        order = np.argsort(hi[:, dim], kind="stable")
+        one_hot = np.zeros((n, words), dtype=np.uint64)
+        one_hot[arange, order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+        suffix = np.bitwise_or.accumulate(one_hot[::-1], axis=0)[::-1]
+        tables.suffix.append(np.concatenate([suffix, zero]))
+        tables.hi_values.append(hi[order, dim])
+        order = np.argsort(lo[:, dim], kind="stable")
+        one_hot = np.zeros((n, words), dtype=np.uint64)
+        one_hot[arange, order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+        tables.prefix.append(np.concatenate([zero, np.bitwise_or.accumulate(one_hot, axis=0)]))
+        tables.lo_values.append(lo[order, dim])
+    return tables
+
+
+def _compact_case(n, sigma, continuous, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, 4)) if continuous else rng.integers(0, 6, size=(n, 4)).astype(float)
+    values[rng.random((n, 4)) < sigma] = np.nan
+    values[:, 3] = np.nan  # one all-missing column: only the ±inf sentinels
+    empty = np.isnan(values).all(axis=1)
+    values[empty, 0] = rng.integers(0, 6, size=int(empty.sum()))
+    return IncompleteDataset(values, directions=["min", "max", "min", "min"])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("continuous", [False, True])
+class TestCompactTablesBitIdentity:
+    """Compact tables (one row per distinct value) answer exactly like the
+    former full format, on both backends, tombstones and probes included."""
+
+    def test_matches_full_format(self, n, sigma, continuous):
+        from repro.core.delta import DatasetDelta
+        from repro.engine.backend import available_backends, use_backend
+        from repro.engine.kernels import SentinelDelta
+
+        ds = _compact_case(n, sigma, continuous, seed=n + int(10 * sigma))
+        compact = PreparedDataset(ds)
+        compact.tables(build=True)
+        full = PreparedDataset(ds)
+        full._tables = _full_format_tables(full.lo, full.hi)
+        tables = compact.tables(build=False)
+        if not continuous:
+            assert max(v.size for v in tables.hi_values + tables.lo_values) <= 7
+        assert tables.hi_values[3].tolist() == [np.inf]
+        assert tables.lo_values[3].tolist() == [-np.inf]
+
+        delta = DatasetDelta.deleting(ds, [ds.ids[0], ds.ids[n // 2], ds.ids[-1]])
+        lowered = SentinelDelta.from_delta(delta, ds.directions)
+        child = ds.apply_delta(delta)
+        rng = np.random.default_rng(n)
+        probe_lo = np.vstack([compact.lo[:5], rng.uniform(-1, 6, size=(6, 4)), [[-np.inf] * 4]])
+        probe_hi = np.vstack([compact.hi[:5], probe_lo[5:11] + 0.5, [[np.inf] * 4]])
+        for name in available_backends():
+            with use_backend(name):
+                for a, b, size in (
+                    (compact, full, ds.n),
+                    (compact.patched(lowered), full.patched(lowered), child.n),
+                ):
+                    rows = np.arange(size)
+                    assert np.array_equal(a.dominated_count_rows(rows), b.dominated_count_rows(rows))
+                    assert np.array_equal(a.dominator_count_rows(rows), b.dominator_count_rows(rows))
+                    assert np.array_equal(a.dominated_bits(rows), b.dominated_bits(rows))
+                    assert np.array_equal(a.dominator_bits(rows), b.dominator_bits(rows))
+                    assert np.array_equal(
+                        a.foreign_dominated_counts(probe_lo, probe_hi),
+                        b.foreign_dominated_counts(probe_lo, probe_hi),
+                    )
+                assert np.array_equal(
+                    dominated_counts(child, prepared=compact.patched(lowered)),
+                    [int(dominated_mask(child, i).sum()) for i in range(child.n)],
+                )
+
+
+class TestCompactTableSize:
+    def test_paper_shape_fits_in_three_megabytes(self):
+        from repro.datasets.synthetic import independent_dataset
+        from repro.engine import kernels
+
+        ds = independent_dataset(20000, 4, missing_rate=0.3, seed=1)
+        assert kernels._bitset_table_bytes(ds.n, ds.d) > kernels._BITSET_TABLE_BUDGET_BYTES
+        tables = PreparedDataset(ds).tables(build=True)
+        assert tables is not None
+        assert tables.nbytes <= 3 * 1024 * 1024
+        distinct = [v.size for v in tables.hi_values + tables.lo_values]
+        suffix_bytes = sum(t.nbytes for t in tables.suffix + tables.prefix)
+        assert suffix_bytes == kernels._bitset_table_bytes(ds.n, ds.d, distinct)

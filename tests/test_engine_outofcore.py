@@ -183,7 +183,7 @@ class TestEngineOutOfCore:
     def test_spilled_query_matches_monolithic(self, tmp_path):
         ds = random_dataset(500, seed=7, payload_nan=True)
         mono = fresh_engine().query(ds, 10)
-        budget = _bitset_table_bytes(ds.n, ds.d) // 8
+        budget = PartitionedDataset(ds, 8).table_bytes() // 8
         engine = fresh_engine(store=tmp_path, memory_budget=budget)
         result = engine.query(ds, 10, partitions=8)
         assert result.stats.extra["spill"] is True
@@ -206,7 +206,7 @@ class TestEngineOutOfCore:
     def test_storeless_engine_spills_to_ephemeral_dir(self):
         ds = random_dataset(400, seed=8)
         mono = fresh_engine().query(ds, 10)
-        engine = fresh_engine(memory_budget=_bitset_table_bytes(ds.n, ds.d) // 8)
+        engine = fresh_engine(memory_budget=PartitionedDataset(ds, 6).table_bytes() // 8)
         result = engine.query(ds, 10, partitions=6)
         assert result.stats.extra["spill"] is True
         assert result.ids == mono.ids

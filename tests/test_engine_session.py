@@ -226,8 +226,10 @@ class TestPreparedDatasetCache:
         assert engine.prepare_dataset(a) is not entry_a  # rebuilt after eviction
 
     def test_lazy_table_growth_is_budgeted(self, make_incomplete):
-        a = make_incomplete(600, 3, missing_rate=0.2, seed=5)
-        b = make_incomplete(600, 3, missing_rate=0.2, seed=6)
+        # Near-continuous values (one compact table row per object), so the
+        # tables stay far larger than the sentinels.
+        a = make_incomplete(600, 3, missing_rate=0.2, seed=5, cardinality=1_000_000)
+        b = make_incomplete(600, 3, missing_rate=0.2, seed=6, cardinality=1_000_000)
         cache = PreparedDatasetCache(max_bytes=100_000)  # sentinels fit, tables don't
         engine = QueryEngine(dataset_cache=cache)
         prepared_a = engine.prepare_dataset(a)
@@ -487,7 +489,9 @@ class TestSharedArrayAccounting:
     """Copy-on-write delta chains must not double-count shared tables."""
 
     def test_total_bytes_dedupes_shared_table_arrays(self, make_incomplete):
-        ds = make_incomplete(600, 4, missing_rate=0.2, seed=20)
+        # Near-continuous values keep the tables, not the per-version
+        # sentinel copies, the bulk of every entry.
+        ds = make_incomplete(600, 4, missing_rate=0.2, seed=20, cardinality=1_000_000)
         cache = PreparedDatasetCache()
         engine = QueryEngine(dataset_cache=cache)
         engine.prepare_dataset(ds).tables(build=True)
@@ -503,7 +507,8 @@ class TestSharedArrayAccounting:
         assert cache.total_bytes < 3 * parent_bytes
 
     def test_long_version_history_stays_within_budget(self, make_incomplete):
-        ds = make_incomplete(600, 4, missing_rate=0.2, seed=21)
+        # Near-continuous values: tables, not sentinels, dominate each entry.
+        ds = make_incomplete(600, 4, missing_rate=0.2, seed=21, cardinality=1_000_000)
         probe = PreparedDataset(ds)
         probe.tables(build=True)
         # Budget fits ~4 full table sets; the 7-version chain naively sums

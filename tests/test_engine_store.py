@@ -471,3 +471,55 @@ class TestLineagePayloadPatchForward:
             np.isnan(rebuilt.inserted_values), np.isnan(delta.inserted_values)
         )
         assert rebuilt.digest() == delta.digest()
+
+
+class TestSchemaFivePreparedEntries:
+    """A prepared entry in the former full-table layout (schema 5) is a
+    clean, counted miss: never misread, never raised."""
+
+    @staticmethod
+    def _write_schema5_entry(tmp_path, fingerprint, dataset, *, schema):
+        lo = np.where(dataset.observed, dataset.minimized, -np.inf)
+        hi = np.where(dataset.observed, dataset.minimized, np.inf)
+        n, d = lo.shape
+        words = (n + 63) >> 6
+        state = {
+            "meta": np.array([n, n, d, 0], dtype=np.int64),
+            "build_seconds": np.array([1.0]),
+            "lo": lo,
+            "hi": hi,
+            "observed": dataset.observed,
+            "words": np.array([words], dtype=np.int64),
+        }
+        for dim in range(d):
+            hi_order = np.argsort(hi[:, dim], kind="stable")
+            lo_order = np.argsort(lo[:, dim], kind="stable")
+            state[f"suffix{dim}"] = np.zeros((n + 1, words), dtype=np.uint64)
+            state[f"prefix{dim}"] = np.zeros((n + 1, words), dtype=np.uint64)
+            state[f"sorted_hi{dim}"] = hi[hi_order, dim]
+            state[f"sorted_lo{dim}"] = lo[lo_order, dim]
+            state[f"hi_order{dim}"] = hi_order
+            state[f"lo_order{dim}"] = lo_order
+        name = f"prepared-{fingerprint[:40]}.npz"
+        with open(tmp_path / name, "wb") as handle:
+            np.savez(handle, **state)
+        entry = {"file": name, "bytes": 1, "build_seconds": 1.0, "n": n, "d": d, "tables": True, "created": 0.0}
+        payload = {"schema": schema, "version": repro.__version__, "entries": {fingerprint: entry}}
+        (tmp_path / "prepared.json").write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("schema", [5, STORE_SCHEMA])
+    def test_old_layout_is_a_counted_miss(self, tmp_path, make_incomplete, schema):
+        from repro.engine.session import PreparedDatasetCache
+
+        ds = make_incomplete(150, 3, missing_rate=0.2, seed=41)
+        fingerprint = QueryEngine(dataset_cache=PreparedDatasetCache()).fingerprint(ds)
+        self._write_schema5_entry(tmp_path, fingerprint, ds, schema=schema)
+        store = PersistentStore(tmp_path)
+        assert store.get_prepared(fingerprint) is None
+        assert store.stats.invalidations >= 1
+        engine = QueryEngine(dataset_cache=PreparedDatasetCache(), store=tmp_path)
+        prepared = engine.prepare_dataset(ds)
+        assert engine.stats.prepared_loaded == 0
+        assert engine.store.stats.invalidations >= 1
+        assert prepared.tables(build=True) is not None
+        assert engine.query(ds, 5).scores == top_k_dominating(ds, 5, algorithm="naive").scores

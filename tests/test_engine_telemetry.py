@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.engine import telemetry
+from repro.engine.partition import PartitionedDataset
 from repro.engine.session import QueryEngine
 from repro.engine.telemetry import (
     HISTOGRAM_BUCKETS,
@@ -303,12 +304,13 @@ def test_cross_process_spilled_trace_is_one_connected_tree(make_incomplete):
     tracing must not change the answer.
     """
     dataset = make_incomplete(1200, 4, seed=23)
-    engine_off = QueryEngine(memory_budget=200_000)
+    budget = PartitionedDataset(dataset, 4).table_bytes() // 4
+    engine_off = QueryEngine(memory_budget=budget)
     baseline = engine_off.query(dataset, 10, partitions=4, workers=2)
     assert baseline.stats.extra.get("spill") is True  # budget forced spill
 
     telemetry.set_enabled(True)
-    engine_on = QueryEngine(memory_budget=200_000)
+    engine_on = QueryEngine(memory_budget=budget)
     result = engine_on.query(dataset, 10, partitions=4, workers=2)
     telemetry.set_enabled(False)
     spans = telemetry.drain_spans()
@@ -377,3 +379,50 @@ def test_disabled_engine_query_collects_nothing(make_incomplete):
     dataset = make_incomplete(200, 3, seed=5)
     QueryEngine().query(dataset, 4)
     assert telemetry.collected_spans() == []
+
+
+def test_continuous_insert_is_one_connected_tree(make_incomplete):
+    """A traced ``ContinuousQuery.insert`` is one tree rooted at its own
+    span, with the table patch (and its row count) beneath it."""
+    dataset = make_incomplete(700, 4, seed=29)
+    engine = QueryEngine()
+    handle = engine.continuous(dataset, k=5)
+    telemetry.drain_spans()
+    telemetry.set_enabled(True)
+    try:
+        handle.insert([[3.0, 4.0, np.nan, 5.0]])
+    finally:
+        telemetry.set_enabled(False)
+    spans = telemetry.drain_spans()
+    by_id = {r["span"]: r for r in spans}
+    roots = [r for r in spans if r["parent"] is None]
+    assert [r["name"] for r in roots] == ["continuous.insert"]
+    assert all(r["parent"] is None or r["parent"] in by_id for r in spans)
+    assert len({r["trace"] for r in spans}) == 1
+    patch = [r for r in spans if r["name"] == "kernel.patch_tables"]
+    assert len(patch) == 1
+    attrs = patch[0]["attrs"]
+    assert (attrs["inserts"], attrs["updates"], attrs["deletes"]) == (1, 0, 0)
+    assert attrs["rows_touched"] > 0
+
+
+def test_engine_writes_open_one_span_each(make_incomplete):
+    dataset = make_incomplete(300, 3, seed=30)
+    engine = QueryEngine()
+    engine.query(dataset, 5)
+    telemetry.drain_spans()
+    telemetry.set_enabled(True)
+    try:
+        child = engine.insert(dataset, [[1.0, 2.0, 3.0]])
+        child = engine.update(child, {child.ids[0]: {1: 4.0}})
+        engine.delete(child, [child.ids[1]])
+    finally:
+        telemetry.set_enabled(False)
+    spans = telemetry.drain_spans()
+    roots = [r for r in spans if r["parent"] is None]
+    assert [r["name"] for r in roots] == ["engine.apply_delta"] * 3
+    assert [(r["attrs"]["inserts"], r["attrs"]["updates"], r["attrs"]["deletes"]) for r in roots] == [
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+    ]

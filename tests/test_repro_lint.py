@@ -531,13 +531,13 @@ def test_real_backend_declarations_all_verified():
     assert check_ctypes_prototypes(sf) == []
 
     report = verified_declarations(backend)
-    assert len(report) == 9  # five kernels + four thread/build config calls
+    assert len(report) == 7  # three kernels + four thread/build config calls
     for entry in report:
         assert entry["py_args"] is not None, entry
         assert len(entry["py_args"]) == len(entry["c_args"]), entry
         assert entry["restype_checked"], entry
     # each argument position plus each restype is one verified declaration
-    assert sum(e["declarations"] for e in report) == 50
+    assert sum(e["declarations"] for e in report) == 32
 
 
 def test_real_backend_parses_all_exported_functions():
@@ -552,11 +552,9 @@ def test_real_backend_parses_all_exported_functions():
         "repro_fused_bits",
         "repro_fused_counts",
         "repro_get_threads",
-        "repro_moved_rank_row",
         "repro_popcount_rows",
         "repro_set_thread_min_words",
         "repro_set_threads",
-        "repro_spliced_rank_row",
     ]
     # (void) parameter lists parse to empty arg tuples, not a '?void' arg
     assert sigs["repro_build_flags"]["args"] == []
