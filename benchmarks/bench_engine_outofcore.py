@@ -174,8 +174,7 @@ def main() -> int:
     )
     print(
         f"phase-2 survival {survival:.2%} ({result.stats.candidates} of {args.n}), "
-        f"merge={extra.get('merge')} ({extra.get('merge_groups', 0)} groups), "
-        f"tau={extra.get('tau')}"
+        f"flat merge, tau={extra.get('tau')}"
     )
     print(f"peak RSS {peak / 1e9:.2f}GB (was {rss_before / 1e9:.2f}GB before the query)")
 
@@ -243,7 +242,6 @@ def main() -> int:
         "spill_bytes": spill_bytes,
         "candidate_survival": survival,
         "candidates": result.stats.candidates,
-        "merge": extra.get("merge"),
         "merge_groups": extra.get("merge_groups", 0),
         "tau": extra.get("tau"),
         "bit_identity_check": check,

@@ -44,12 +44,13 @@ def dominance_graph(dataset: IncompleteDataset, *, max_n: int = 4000) -> nx.DiGr
             f"dominance_graph on n={dataset.n} exceeds max_n={max_n}"
         )
     graph = nx.DiGraph()
-    for row, object_id in enumerate(dataset.ids):
+    all_ids = dataset.ids
+    for row, object_id in enumerate(all_ids):
         graph.add_node(object_id, row=row)
-    for row, object_id in enumerate(dataset.ids):
+    for row, object_id in enumerate(all_ids):
         dominated = np.flatnonzero(dominated_mask(dataset, row))
         for target in dominated:
-            graph.add_edge(object_id, dataset.ids[int(target)])
+            graph.add_edge(object_id, all_ids[int(target)])
         graph.nodes[object_id]["score"] = int(dominated.size)
     return graph
 

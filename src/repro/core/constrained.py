@@ -143,6 +143,7 @@ def group_by_tkd(
         groups.setdefault(key, []).append(row)
 
     out: dict = {}
+    all_ids = dataset.ids
     for key, rows in groups.items():
         member_set = dataset.subset(rows, name=f"{dataset.name or 'dataset'}|{key}")
         # Objects with nothing observed outside the grouping dimension
@@ -158,7 +159,7 @@ def group_by_tkd(
             tie_break=tie_break, rng=rng, **options,
         )
         # Lift indices: projection preserves ids, so map through them.
-        original_by_id = {dataset.ids[row]: row for row in rows}
+        original_by_id = {all_ids[row]: row for row in rows}
         result.indices = [original_by_id[object_id] for object_id in result.ids]
         out[key] = result
     return out

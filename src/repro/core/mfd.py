@@ -241,10 +241,11 @@ def top_k_dominating_mfd(
         selection = [index for index, _ in kept]
         chosen_scores = [float(score) for _, score in kept]
 
+    all_ids = dataset.ids
     return MFDResult(
         indices=list(selection),
         scores=chosen_scores,
-        ids=[dataset.ids[i] for i in selection],
+        ids=[all_ids[i] for i in selection],
         k=k,
         lam=float(lam),
         evaluated=evaluated,

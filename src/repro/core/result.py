@@ -60,6 +60,10 @@ def select_top_k(
 
     Returns the selected indices ordered by descending score (ties in the
     returned ordering follow the same policy).
+
+    Only the rows scoring at least the k-th best value (found by
+    ``np.partition``) are sorted; the answer is the one a full sort
+    gives, since every row behind that value ranks behind all of them.
     """
     if tie_break not in _TIE_BREAKS:
         raise InvalidParameterError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
@@ -67,17 +71,22 @@ def select_top_k(
     candidates = np.flatnonzero(eligible) if eligible is not None else np.arange(scores.size)
     if k > candidates.size:
         k = candidates.size
+    if k <= 0:
+        return []
+    if tie_break == "random":
+        # Draw the permutation over every candidate first, so the
+        # filtered, stably sorted head matches a full stable sort.
+        candidates = candidates[coerce_rng(rng).permutation(candidates.size)]
 
     # Scores may be ints (Definition 2) or floats (MFD weighting) — never
     # truncate them in the ordering key.
+    keys = -scores[candidates].astype(np.float64)
+    kth = np.partition(keys, k - 1)[k - 1]
+    within = ~(keys > kth)  # NaN keys (sorted last anyway) never shrink the head
+    head, head_keys = candidates[within], keys[within]
     if tie_break == "index":
-        keys = -scores[candidates].astype(np.float64)
-        return candidates[np.lexsort((candidates, keys))[:k]].tolist()
-
-    rng = coerce_rng(rng)
-    shuffled = candidates[rng.permutation(candidates.size)]
-    keys = -scores[shuffled].astype(np.float64)
-    return shuffled[np.argsort(keys, kind="stable")[:k]].tolist()
+        return head[np.lexsort((head, head_keys))[:k]].tolist()
+    return head[np.argsort(head_keys, kind="stable")[:k]].tolist()
 
 
 class CandidateSet:
@@ -178,10 +187,11 @@ class TKDResult:
     ) -> "TKDResult":
         """Assemble a result, resolving ids from the dataset."""
         indices = [int(i) for i in selection]
+        all_ids = dataset.ids
         return cls(
             indices=indices,
             scores=[int(s) for s in scores],
-            ids=[dataset.ids[i] for i in indices],
+            ids=[all_ids[i] for i in indices],
             k=int(k),
             algorithm=algorithm,
             stats=stats if stats is not None else QueryStats(algorithm=algorithm),

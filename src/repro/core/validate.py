@@ -69,7 +69,8 @@ def verify_result(
         problems.append(
             f"returned {len(indices)} objects for k={result.k} over n={n}"
         )
-    if [dataset.ids[i] for i in indices if 0 <= i < n] != [
+    all_ids = dataset.ids
+    if [all_ids[i] for i in indices if 0 <= i < n] != [
         result.ids[pos] for pos, i in enumerate(indices) if 0 <= i < n
     ]:
         problems.append("ids are not aligned with indices")
@@ -81,7 +82,7 @@ def verify_result(
             actual = recomputed[valid.index(index)]
             if actual != claimed:
                 problems.append(
-                    f"object {dataset.ids[index]} claims score {claimed}, actual {actual}"
+                    f"object {all_ids[index]} claims score {claimed}, actual {actual}"
                 )
     if sorted(result.scores, reverse=True) != list(result.scores):
         problems.append("scores are not in descending order")

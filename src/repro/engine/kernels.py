@@ -799,6 +799,15 @@ class PreparedDataset:
     # -- footprint / lifecycle ----------------------------------------------
 
     @property
+    def lazy_built(self) -> int:
+        """How many lazy structures (tables, observed bitsets) are built.
+
+        The only way a shared entry grows in place, so the session cache
+        re-measures its footprint only when this count moves.
+        """
+        return (self._tables is not None) + (self._observed_bits is not None)
+
+    @property
     def nbytes(self) -> int:
         """Current footprint (grows when the lazy tables are built)."""
         total = self._lo_buf.nbytes + self._hi_buf.nbytes + self._obs_buf.nbytes

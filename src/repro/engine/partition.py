@@ -57,21 +57,26 @@ best score, so it survived), and every pruned object has
 ``score ≤ UB < τ`` strictly (so it can neither enter nor tie into the
 answer).
 
-With ``workers=N`` both phases fan out over one process pool; workers
-keep their shard's prepared structures in a process-global cache between
-phases and warm-start them from the persistent store under the shard's
-own fingerprint key.
+Nothing in phase 1 depends on ``k`` (a score is a count of dominated
+objects), so the local scores, the summaries and the merged upper
+bounds are memoised on the :class:`PartitionedDataset` per summary bin
+count, and a routed delta recomputes only the touched shards' entries.
+A new ``k`` pays for τ, the refinement, the exchange and the selection.
+With ``workers=N`` a cold phase 1 fans out over one process pool, whose
+workers warm-start from the persistent store under the shard's own
+fingerprint key; phase 2 runs in the coordinator against the session's
+prepared cache (or the spill resident set).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 from . import telemetry
-from .backend import SharedTables, unlink_shared
 from .kernels import (
     PreparedDataset,
     _bitset_table_bytes,
@@ -97,13 +102,9 @@ __all__ = [
 #: slack at shard_size/128 per dimension.
 _SUMMARY_BINS = 128
 
-#: Candidate batches shipped to the pool are chunked so one phase-2
-#: payload never exceeds a few MB of sentinel rows.
-_PROBE_CHUNK = 65536
-
-#: Byte cap on one phase-2 exchange window's sentinel payload (lo + hi
-#: rows of the survivors in flight at once). Survivor sets are streamed
-#: window by window instead of broadcast whole — bit-identical, but the
+#: Byte cap on one phase-2 exchange window's gathered sentinels (lo + hi
+#: rows of the survivors probed at once). Survivor sets are streamed
+#: window by window instead of gathered whole — bit-identical, but the
 #: exchange footprint stops scaling with the survivor count.
 _EXCHANGE_WINDOW_BYTES = 8 << 20
 
@@ -116,11 +117,6 @@ _MIN_REFINE_HEAD = 64
 #: a (33×33) suffix-count grid per dimension pair — ~8KB — that prunes
 #: the correlated-dimension slack the per-dimension ``min`` cannot see.
 _GRID_BINS = 32
-
-#: Above this shard count the flat P-way summary merge (``O(P·n)``
-#: probes) gives way to the two-level tree merge: ~√P group envelopes
-#: over everyone, per-shard descent only for pass-1 survivors.
-_TREE_MERGE_MIN_SHARDS = 16
 
 
 def _grid_edges(column: np.ndarray, bins: int = _GRID_BINS) -> np.ndarray:
@@ -191,11 +187,7 @@ class ShardSummary:
     def from_bounds(
         cls, lo: np.ndarray, hi: np.ndarray, *, bins: int = _SUMMARY_BINS
     ) -> "ShardSummary":
-        """Summarise a ``(m, d)`` sentinel block directly.
-
-        Lets callers summarise *any* contiguous row run — a group of
-        shards in the tree merge — without materialising a dataset.
-        """
+        """Summarise a ``(m, d)`` sentinel block directly (no dataset)."""
         m, d = hi.shape
         if m <= bins:
             idx = np.arange(m, dtype=np.intp)
@@ -317,13 +309,23 @@ class _Probes:
         columns = self.lo + (self.hi or [])
         return sum(unique.size for unique, _ in columns)
 
-    def take(self, rows: np.ndarray) -> "_Probes":
-        """The index of a row subset: shared unique values, sliced inverses."""
-        view = _Probes.__new__(_Probes)
-        view.size = int(rows.size)
-        view.lo = [(unique, inverse[rows]) for unique, inverse in self.lo]
-        view.hi = None if self.hi is None else [(u, inv[rows]) for u, inv in self.hi]
-        return view
+
+class _Phase1:
+    """The memoised, k-independent half of the protocol for one view.
+
+    ``shards`` maps a shard fingerprint to its exact local scores and
+    :class:`ShardSummary`; ``merged`` holds, once every shard is in, the
+    concatenation-space ``(lower, upper, lo, hi, distinct)`` of the flat
+    merge. Entries are pure functions of a shard's content, so a child
+    view inherits those of every shard a delta left untouched, and two
+    threads that race to fill the same slot store equal values.
+    """
+
+    __slots__ = ("shards", "merged")
+
+    def __init__(self, shards: "dict[str, tuple[np.ndarray, ShardSummary]] | None" = None) -> None:
+        self.shards = dict(shards or {})
+        self.merged: "tuple | None" = None
 
 
 class PartitionShard:
@@ -379,6 +381,8 @@ class PartitionedDataset:
         #: Concatenation position → dataset row (``None`` = identity).
         self.order = _order
         self._table_bytes: int | None = None
+        #: Summary bin count → memoised phase 1 (see :class:`_Phase1`).
+        self._phase1: dict[int, _Phase1] = {}
         if _shards is not None:
             self.shards = _shards
             return
@@ -417,6 +421,19 @@ class PartitionedDataset:
                 total += _bitset_table_bytes(shard.n, shard.dataset.d, distinct)
             self._table_bytes = total
         return self._table_bytes
+
+    def _phase1_memo(self, bins: int) -> _Phase1:
+        return self._phase1.setdefault(int(bins), _Phase1())
+
+    def _inherit_phase1(self, parent: "PartitionedDataset") -> "PartitionedDataset":
+        """Carry *parent*'s phase-1 entries for the shards this view kept."""
+        if parent._phase1:
+            live = {shard.fingerprint() for shard in self.shards}
+            self._phase1 = {
+                bins: _Phase1({fp: e for fp, e in memo.shards.items() if fp in live})
+                for bins, memo in parent._phase1.items()
+            }
+        return self
 
     @property
     def imbalance(self) -> float:
@@ -547,7 +564,7 @@ class PartitionedDataset:
         view = PartitionedDataset(
             child, max(len(new_shards), 1), _shards=new_shards, _order=child_order
         )
-        return view, advanced
+        return view._inherit_phase1(self), advanced
 
     def rebalance(self, partitions: "int | None" = None):
         """Restore an even row split by splicing rows between shards.
@@ -612,17 +629,14 @@ class PartitionedDataset:
         view = PartitionedDataset(
             self.dataset, count, _shards=new_shards, _order=order
         )
-        return view, advanced
+        return view._inherit_phase1(self), advanced
 
     def validate(self) -> None:
         """Assert the concatenation invariant (tests and debugging)."""
         order = self.order
         expected_values = self.dataset.values if order is None else self.dataset.values[order]
-        expected_ids = (
-            self.dataset.ids
-            if order is None
-            else [self.dataset.ids[r] for r in order]
-        )
+        all_ids = self.dataset.ids
+        expected_ids = all_ids if order is None else [all_ids[r] for r in order]
         values = np.concatenate([shard.dataset.values for shard in self.shards], axis=0)
         same = (values == expected_values) | (np.isnan(values) & np.isnan(expected_values))
         if values.shape != expected_values.shape or not same.all():
@@ -665,9 +679,10 @@ def execute_partitioned(
     candidates — a different (equally arbitrary, paper-sanctioned) draw
     than the monolithic permutation.
 
-    ``workers=N`` (N ≥ 2) fans both phases out over a process pool; the
-    sequential path reuses *engine*'s shared prepared-dataset cache and
-    store warm-start per shard.
+    Phase 1 is memoised on *view* per *summary_bins*: only shards
+    without an entry are computed, over the process pool when
+    ``workers=N`` (N ≥ 2) and more than one is missing. Phase 2 reads
+    shard tables through *engine*'s shared prepared-dataset cache.
 
     With *spill_store* and *memory_budget* set, shard tables live as
     memory-mapped spill files in the store and only a bounded resident
@@ -688,120 +703,91 @@ def execute_partitioned(
     if pool_workers < 0:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     spill = spill_store is not None
+    if spill:
+        # Out-of-core: build → spill → drop, never holding more than the
+        # resident set of mmap attachments (plus the one shard in build).
+        budget = memory_budget if memory_budget is not None else 0
+        provider = lambda shard: _attach_spilled(engine, spill_store, shard, budget)
+    else:
+        provider = lambda shard: _shard_prepared(engine, shard)
 
-    # -- phase 1: local scores + summaries ---------------------------------
+    # -- phase 1: local scores + summaries (memoised per view) -------------
     start_p1 = _clock()
-    shm_metas: dict[str, dict] = {}
-    provider = None
+    memo = view._phase1_memo(summary_bins)
     with telemetry.trace("partition.phase1") as span:
-        span.set("shards", len(shards)).set("workers", pool_workers).set("spill", spill)
-        if pool_workers > 1 and len(shards) > 1:
-            locals_, summaries, pool, shm_metas = _phase1_parallel(
-                view,
-                engine,
-                min(pool_workers, len(shards)),
-                summary_bins,
-                spill_store if spill else None,
+        missing = [shard for shard in shards if shard.fingerprint() not in memo.shards]
+        span.set("shards", len(shards)).set("computed", len(missing))
+        span.set("workers", pool_workers).set("spill", spill)
+        if pool_workers > 1 and len(missing) > 1:
+            entries = _phase1_parallel(
+                missing, engine, min(pool_workers, len(missing)), summary_bins, spill_store
             )
-        elif spill:
-            # Out-of-core: build → spill → drop, never holding more than the
-            # resident set of mmap attachments (plus the one shard in build).
-            pool = None
-            locals_, summaries = [], []
-            budget = memory_budget if memory_budget is not None else 0
-            provider = lambda shard: _attach_spilled(engine, spill_store, shard, budget)
-            for shard in shards:
-                prepared = provider(shard)
-                locals_.append(
-                    dominated_counts(shard.dataset, prepared=prepared).astype(np.int64, copy=False)
-                )
-                summaries.append(ShardSummary.build(shard.dataset, bins=summary_bins))
-                del prepared  # resident-set manager decides what stays mapped
         else:
-            pool = None
-            prepared_shards = []
-            provider = lambda shard: prepared_shards[shards.index(shard)]
-            locals_, summaries = [], []
-            for shard in shards:
-                prepared = _shard_prepared(engine, shard)
-                prepared.warm()
-                prepared_shards.append(prepared)
-                locals_.append(
-                    dominated_counts(shard.dataset, prepared=prepared).astype(np.int64, copy=False)
-                )
-                summaries.append(ShardSummary.build(shard.dataset, bins=summary_bins))
+            entries = [
+                _shard_phase1(shard.dataset, partial(provider, shard), summary_bins, spill)
+                for shard in missing
+            ]
+        for shard, entry in zip(missing, entries):
+            memo.shards[shard.fingerprint()] = entry
     phase1_seconds = _clock() - start_p1
 
-    try:
-        # -- merge: bounds, tau, surviving candidates ----------------------
-        # Everything from here to selection happens in *concatenation
-        # space*: position p belongs to the shard whose [start, stop)
-        # contains p, and maps to dataset row perm[p] (identity when the
-        # view was never re-routed or rebalanced).
-        with telemetry.trace("partition.merge") as span:
-            perm = view.order
-            lo_g, hi_g = _bounds(dataset)
-            if perm is None:
-                lo, hi = lo_g, hi_g
-            else:
-                lo, hi = lo_g[perm], hi_g[perm]
+    # -- merge: bounds, tau, surviving candidates --------------------------
+    # Everything from here to selection happens in *concatenation space*:
+    # position p belongs to the shard whose [start, stop) contains p, and
+    # maps to dataset row perm[p] (identity when the view was never
+    # re-routed or rebalanced).
+    perm = view.order
+    locals_, summaries = zip(*(memo.shards[shard.fingerprint()] for shard in shards))
+    with telemetry.trace("partition.merge") as span:
+        if memo.merged is None:
+            lo, hi = _bounds(dataset)
+            if perm is not None:
+                lo, hi = lo[perm], hi[perm]
             lower = np.concatenate(locals_)  # own-shard exact score == global lower bound
-            tau = int(np.partition(lower, n - kk)[n - kk])
-            upper, merge_groups, envelope_survivors, distinct = _merged_upper_bounds(
-                shards, summaries, lower, lo, hi, tau, bins=summary_bins
-            )
-            candidates = np.flatnonzero(upper >= tau).astype(np.intp)
-            span.set("merge", "tree" if merge_groups else "flat")
-            span.set("merge_groups", merge_groups)
-            span.set("envelope_survivors", envelope_survivors)
-            span.set("distinct_probes", distinct)
-            span.set("tau", tau).set("candidates", int(candidates.size))
+            upper, distinct = _merged_upper_bounds(shards, summaries, lower, lo, hi)
+            memo.merged = (lower, upper, lo, hi, distinct)
+        lower, upper, lo, hi, distinct = memo.merged
+        tau = int(np.partition(lower, n - kk)[n - kk])
+        candidates = np.flatnonzero(upper >= tau).astype(np.intp)
+        span.set("distinct_probes", distinct)
+        span.set("tau", tau).set("candidates", int(candidates.size))
 
-        # -- phase 2: exact cross-partition scores for the survivors -------
-        start_p2 = _clock()
-        with telemetry.trace("partition.phase2") as p2:
-            total = lower.copy()
-            refined = np.zeros(0, dtype=np.intp)
-            exchange_windows = 0
-            if len(shards) > 1:
-                exchange = _Exchanger(view, pool, provider, lo, hi, shm_metas)
-                # τ refinement: exactly score the highest-upper-bound head
-                # first; the k-th best of those *actual* scores is a sound —
-                # and usually far tighter — lower bound on the global k-th.
-                # The head is small (O(k)), so it runs in-parent with one
-                # broadcast per shard instead of burning a pool round.
-                head = min(candidates.size, max(4 * kk, _MIN_REFINE_HEAD))
-                if head >= kk and head < candidates.size:
-                    with telemetry.trace("partition.refine") as span:
-                        by_upper = np.argsort(-upper[candidates], kind="stable")
-                        refined = candidates[by_upper[:head]]
-                        _refine_in_parent(view, refined, lo, hi, total)
-                        refined_tau = int(np.partition(total[refined], head - kk)[head - kk])
-                        if refined_tau > tau:
-                            tau = refined_tau
-                            candidates = candidates[upper[candidates] >= tau]
-                        span.set("refined", int(refined.size)).set("tau", tau)
-                        span.set("candidates", int(candidates.size))
-                with telemetry.trace("partition.exchange") as span:
-                    # Drop already-refined rows by scatter rather than
-                    # np.isin: O(n) bytes beats isin's sort for index sets.
-                    is_refined = np.zeros(n, dtype=bool)
-                    is_refined[refined] = True
-                    mask = ~is_refined[candidates]
-                    exchange.add_exact(candidates[mask], total)
-                    exchange_windows = exchange.windows
-                    span.set("survivors", int(candidates.size))
-                    span.set("windows", exchange_windows)
-            p2.set("tau", tau).set("candidates", int(candidates.size))
-        phase2_seconds = _clock() - start_p2
-    finally:
-        # Segments the phase-1 workers exported on our behalf: the pool
-        # outlives this query (it is the shared session pool), so the
-        # names must go now, success or not. Spill metas carry no "name";
-        # their files belong to the store and persist across queries.
-        for meta in shm_metas.values():
-            if "name" in meta:
-                unlink_shared(meta["name"])
+    # -- phase 2: exact cross-partition scores for the survivors -----------
+    start_p2 = _clock()
+    with telemetry.trace("partition.phase2") as p2:
+        total = lower.copy()
+        refined = np.zeros(0, dtype=np.intp)
+        exchange_windows = 0
+        if len(shards) > 1:
+            # τ refinement: exactly score the highest-upper-bound head
+            # first; the k-th best of those *actual* scores is a sound —
+            # and usually far tighter — lower bound on the global k-th.
+            # The head is small (O(k)), so one broadcast per shard beats
+            # reading the shards' tables for it.
+            head = min(candidates.size, max(4 * kk, _MIN_REFINE_HEAD))
+            if head >= kk and head < candidates.size:
+                with telemetry.trace("partition.refine") as span:
+                    by_upper = np.argsort(-upper[candidates], kind="stable")
+                    refined = candidates[by_upper[:head]]
+                    _refine_in_parent(view, refined, lo, hi, total)
+                    refined_tau = int(np.partition(total[refined], head - kk)[head - kk])
+                    if refined_tau > tau:
+                        tau = refined_tau
+                        candidates = candidates[upper[candidates] >= tau]
+                    span.set("refined", int(refined.size)).set("tau", tau)
+                    span.set("candidates", int(candidates.size))
+            with telemetry.trace("partition.exchange") as span:
+                # Drop already-refined rows by scatter rather than
+                # np.isin: O(n) bytes beats isin's sort for index sets.
+                is_refined = np.zeros(n, dtype=bool)
+                is_refined[refined] = True
+                exchange_windows = _exchange(
+                    shards, provider, candidates[~is_refined[candidates]], lo, hi, total
+                )
+                span.set("survivors", int(candidates.size))
+                span.set("windows", exchange_windows)
+        p2.set("tau", tau).set("candidates", int(candidates.size))
+    phase2_seconds = _clock() - start_p2
 
     with telemetry.trace("partition.select") as span:
         eligible = np.zeros(n, dtype=bool)
@@ -838,6 +824,7 @@ def execute_partitioned(
     # Deprecated compatibility shim: the protocol counters below are now
     # recorded as span attributes on the partition.* spans (telemetry);
     # ``stats.extra`` keeps carrying them for existing readers.
+    # ``merge_groups`` stays 0 now that the merge is always flat.
     stats.extra.update(
         partitions=len(shards),
         shard_sizes=list(view.sizes),
@@ -847,8 +834,7 @@ def execute_partitioned(
         survival=float(survivors) / max(n, 1),
         phase1_seconds=phase1_seconds,
         phase2_seconds=phase2_seconds,
-        merge="tree" if merge_groups else "flat",
-        merge_groups=merge_groups,
+        merge_groups=0,
         spill=spill,
         exchange_windows=exchange_windows,
     )
@@ -868,58 +854,58 @@ def _merged_upper_bounds(
     lower: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    tau: int,
-    *,
-    bins: int = _SUMMARY_BINS,
-):
-    """Global upper bounds from the shard summaries (flat or tree merge).
+) -> "tuple[np.ndarray, int]":
+    """Global upper bounds from the shard summaries (the flat merge).
 
-    Returns ``(upper, groups, survivors, distinct)`` in concatenation
-    space. One :class:`_Probes` index over ``lo``/``hi`` is built once and
-    shared by every summary probe, so each probe costs ``O(u·log B + b)``
-    for ``u`` distinct column values. At ``P`` shards the flat merge
-    probes every summary for every position. Past
-    :data:`_TREE_MERGE_MIN_SHARDS` a two-level tree takes over: pass 1
-    probes only ``G ≈ √P`` *group* summaries (built over contiguous shard
-    runs straight from the sentinel block) for a sound envelope
-    ``Σ_g UB_g ≥ score``; pass 2 descends into the per-shard summaries
-    only for the envelope's τ-survivors. ``groups`` is 0 on the flat
-    path; ``survivors`` counts the pass-1 survivors (every position on
-    the flat path) and ``distinct`` the index's summed distinct values.
+    Returns ``(upper, distinct)`` in concatenation space: every position's
+    own-shard exact score plus every foreign summary's bound. One
+    :class:`_Probes` index over ``lo``/``hi`` is shared by every summary
+    probe, so each costs ``O(u·log B + n)`` for ``u`` distinct column
+    values; ``distinct`` is the index's summed distinct-value count.
     """
-    n = lower.shape[0]
     probes = _Probes(lo, hi)
-    if len(shards) <= _TREE_MERGE_MIN_SHARDS:
-        upper = lower.copy()
-        for shard, summary in zip(shards, summaries):
-            ub = summary.upper_bound_counts(probes)
-            upper += ub
-            upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
-        return upper, 0, n, probes.distinct
+    upper = lower.copy()
+    for shard, summary in zip(shards, summaries):
+        ub = summary.upper_bound_counts(probes)
+        upper += ub
+        upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
+    return upper, probes.distinct
 
-    group_count = max(2, int(round(len(shards) ** 0.5)))
-    step = -(-len(shards) // group_count)
-    envelope = np.zeros(n, dtype=np.int64)
-    groups = 0
-    for g0 in range(0, len(shards), step):
-        run = shards[g0 : g0 + step]
-        gs, ge = run[0].start, run[-1].stop
-        group_summary = ShardSummary.from_bounds(lo[gs:ge], hi[gs:ge], bins=bins)
-        envelope += group_summary.upper_bound_counts(probes)
-        groups += 1
-    # The envelope bounds the *full* score (own-shard contribution
-    # included), so it is directly comparable with τ.
-    cand = np.flatnonzero(envelope >= tau).astype(np.intp)
-    if cand.size:
-        survivors = probes.take(cand)
-        tight = lower[cand].astype(np.int64, copy=True)
-        for shard, summary in zip(shards, summaries):
-            ub = summary.upper_bound_counts(survivors)
-            inside = (cand >= shard.start) & (cand < shard.stop)
-            ub[inside] = 0  # own-shard part is already exact in `lower`
-            tight += ub
-        envelope[cand] = np.minimum(envelope[cand], tight)
-    return envelope, groups, int(cand.size), probes.distinct
+
+def _shard_phase1(dataset, prepare, bins: int, spill: bool) -> tuple:
+    """One shard's exact local scores and :class:`ShardSummary`.
+
+    *prepare* returns the shard's :class:`PreparedDataset`; it is called
+    inside the ``partition.phase1.shard`` span so the build (or spill
+    attach) is attributed to it.
+    """
+    with telemetry.trace("partition.phase1.shard") as span:
+        span.set("n", dataset.n).set("spill", spill)
+        local = dominated_counts(dataset, prepared=prepare()).astype(np.int64, copy=False)
+        return local, ShardSummary.build(dataset, bins=bins)
+
+
+def _exchange(shards, provider, rows: np.ndarray, lo, hi, total: np.ndarray) -> int:
+    """Fold every shard's exact foreign contribution into ``total[rows]``.
+
+    Shard-major: each shard's tables are fetched once through *provider*
+    (a cache lookup, or a resident-set attach in spill mode), and the
+    rows stream through in fixed-size windows so the gathered sentinel
+    temporaries stay under :data:`_EXCHANGE_WINDOW_BYTES`. Contributions
+    are integer adds into disjoint positions, so any window size is
+    bit-identical. Returns the window count.
+    """
+    if rows.size == 0:
+        return 0
+    window = max(1, _EXCHANGE_WINDOW_BYTES // (2 * lo.dtype.itemsize * max(lo.shape[1], 1)))
+    for shard in shards:
+        foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
+        if foreign.size:
+            prepared = provider(shard)
+            for start in range(0, foreign.size, window):
+                sel = foreign[start : start + window]
+                total[sel] += prepared.foreign_dominated_counts(lo[sel], hi[sel])
+    return -(-rows.size // window)
 
 
 def _refine_in_parent(
@@ -952,10 +938,14 @@ def _refine_in_parent(
 
 
 def _shard_prepared(engine, shard: PartitionShard) -> PreparedDataset:
-    """The shard's PreparedDataset — through the engine's caches when given."""
+    """The shard's warmed PreparedDataset from *engine*'s caches (the
+    process-wide prepared cache without one), so both phases and every
+    later call reuse one table build."""
     if engine is not None:
-        return engine.prepare_dataset(shard.dataset)
-    return PreparedDataset(shard.dataset)
+        return engine.prepare_dataset(shard.dataset).warm()
+    from .session import _shared_dataset_cache
+
+    return _shared_dataset_cache.get_or_create(shard.dataset, shard.fingerprint()).warm()
 
 
 def _spill_prepared(store, fingerprint: str, dataset) -> "tuple[PreparedDataset, int]":
@@ -1002,271 +992,68 @@ def _attach_spilled(engine, store, shard: PartitionShard, budget: int) -> Prepar
 
 
 # ---------------------------------------------------------------------------
-# Process-pool workers
+# Process-pool workers (cold phase 1)
 # ---------------------------------------------------------------------------
-
-#: Per-worker-process cache: shard fingerprint → PreparedDataset, so the
-#: phase-2 task for a shard reuses the structures phase 1 built whenever
-#: the pool schedules it onto the same process (payloads carry a
-#: shared-memory meta — and a sentinel-only rebuild fallback — for when
-#: it does not). Size-capped because the pool is shared across queries.
-_WORKER_SHARDS: dict[str, PreparedDataset] = {}
-_WORKER_HANDLES: dict[str, SharedTables] = {}
-_WORKER_SHARDS_CAP = 8
-
-#: Names of transfer segments this worker exported for its parent. The
-#: parent adopts cleanup by name; this atexit net only matters when the
-#: parent dies before adopting (unlink_shared is double-unlink safe).
-_EXPORTED_NAMES: list[str] = []
-
-
-def _cache_worker_shard(
-    fingerprint: str, prepared: PreparedDataset, handle: SharedTables | None = None
-) -> None:
-    while len(_WORKER_SHARDS) >= _WORKER_SHARDS_CAP:
-        evicted = next(iter(_WORKER_SHARDS))
-        _WORKER_SHARDS.pop(evicted, None)
-        stale = _WORKER_HANDLES.pop(evicted, None)
-        if stale is not None:
-            stale.close()
-    _WORKER_SHARDS[fingerprint] = prepared
-    if handle is not None:
-        _WORKER_HANDLES[fingerprint] = handle
-
-
-def _cleanup_exported() -> None:  # pragma: no cover - crash net
-    for name in _EXPORTED_NAMES:
-        unlink_shared(name)
-    _EXPORTED_NAMES.clear()
-
-
-def _shard_payload(
-    shard: PartitionShard, store_dir: str | None, bins: int, spill: bool = False
-) -> tuple:
-    dataset = shard.dataset
-    return (
-        shard.fingerprint(),
-        dataset.values,
-        dataset.directions,
-        store_dir,
-        bins,
-        spill,
-        telemetry.propagation_context(),
-    )
 
 
 def _phase1_worker(payload: tuple):
-    """Pool worker: one shard's local scores, summary and shared tables.
+    """Pool worker: one shard's phase-1 entry and the spans it recorded.
 
-    Besides the phase-1 answer, the worker exports its freshly prepared
-    structures into a shared-memory segment (``owner=False``: the parent
-    adopts cleanup by name) so phase-2 tasks landing on *other* workers
-    attach zero-copy instead of re-preparing the shard. In spill mode
-    the store's spill file *is* the shared medium: the worker builds and
-    spills the shard, then serves (and advertises, via a spill meta) the
-    mmap attachment instead of an anonymous shm segment.
-
-    The trailing payload element is the coordinator's trace context;
-    spans recorded here come back as the trailing result element.
+    Warm-starts the shard's tables from the persistent store when one is
+    configured; in spill mode it builds and spills them there instead,
+    so the coordinator's phase 2 attaches the file rather than
+    rebuilding. The trailing payload element is the coordinator's trace
+    context; spans recorded here come back as the trailing result
+    element.
     """
-    import atexit
-
     from ..core.dataset import IncompleteDataset
 
     fingerprint, values, directions, store_dir, bins, spill, trace_ctx = payload
     telemetry.begin_remote(trace_ctx)
     dataset = IncompleteDataset(values, directions=directions)
-    if spill and store_dir:
-        from .store import PersistentStore
 
-        with telemetry.trace("partition.phase1.shard") as span:
-            span.set("n", dataset.n).set("spill", True)
-            store = PersistentStore(store_dir)
-            prepared, _ = _spill_prepared(store, fingerprint, dataset)
-            local = dominated_counts(dataset, prepared=prepared).astype(np.int64, copy=False)
-            summary = ShardSummary.build(dataset, bins=bins)
-            _cache_worker_shard(fingerprint, prepared)
-            spilled = store.get_shard_tables(fingerprint)
-        meta = spilled.meta() if spilled is not None else None
-        return local, summary, meta, telemetry.end_remote()
-    with telemetry.trace("partition.phase1.shard") as span:
-        span.set("n", dataset.n)
-        prepared = None
+    def prepare() -> PreparedDataset:
         if store_dir:
             from .store import PersistentStore
 
-            prepared = PersistentStore(store_dir).get_prepared(fingerprint)
-            if prepared is not None and prepared.n != dataset.n:
-                prepared = None
-        if prepared is None:
-            prepared = PreparedDataset(dataset)
-        prepared.warm()
-        local = dominated_counts(dataset, prepared=prepared).astype(np.int64, copy=False)
-        summary = ShardSummary.build(dataset, bins=bins)
-        _cache_worker_shard(fingerprint, prepared)
-        meta = None
-        try:
-            handle = SharedTables.create(prepared, owner=False)
-        except (OSError, ValueError):
-            handle = None  # /dev/shm full: phase 2 rebuilds from the pickle
-        if handle is not None:
-            if not _EXPORTED_NAMES:
-                atexit.register(_cleanup_exported)
-            _EXPORTED_NAMES.append(handle.meta["name"])
-            meta = handle.meta
-            handle.close()
-    return local, summary, meta, telemetry.end_remote()
+            store = PersistentStore(store_dir)
+            if spill:
+                return _spill_prepared(store, fingerprint, dataset)[0]
+            stored = store.get_prepared(fingerprint)
+            if stored is not None and stored.n == dataset.n:
+                return stored
+        return PreparedDataset(dataset)
+
+    entry = _shard_phase1(dataset, prepare, bins, spill)
+    return entry, telemetry.end_remote()
 
 
-def _phase2_worker(payload: tuple) -> tuple:
-    """Pool worker: exact foreign counts for one shard × candidate chunk.
+def _phase1_parallel(shards, engine, pool_size: int, bins: int, spill_store=None) -> list:
+    """Fan phase 1 for *shards* out over the shared session pool.
 
-    Returns ``(counts, spans)`` — the spans recorded under the trace
-    context the payload carried (empty when the coordinator is not
-    tracing).
-    """
-    from ..core.dataset import IncompleteDataset
-
-    fingerprint, values, directions, probe_lo, probe_hi, shm_meta, trace_ctx = payload
-    telemetry.begin_remote(trace_ctx)
-    span = telemetry.trace("partition.phase2.probe")
-    span.__enter__()
-    span.set("rows", int(probe_lo.shape[0]))
-    prepared = _WORKER_SHARDS.get(fingerprint)
-    if prepared is None and shm_meta is not None:
-        if shm_meta.get("kind") == "spill":
-            from .store import SpilledTables
-
-            try:
-                prepared = SpilledTables.from_meta(shm_meta).prepared()
-            except (OSError, ValueError, KeyError):
-                prepared = None  # spill file gone; rebuild locally below
-            if prepared is not None:
-                _cache_worker_shard(fingerprint, prepared)
-        else:
-            try:
-                handle = SharedTables.attach(shm_meta)
-            except (OSError, ValueError):
-                handle = None  # segment gone; rebuild locally below
-            if handle is not None:
-                prepared = handle.prepared()
-                _cache_worker_shard(fingerprint, prepared, handle)
-    if prepared is None:
-        prepared = PreparedDataset(IncompleteDataset(values, directions=directions))
-        _cache_worker_shard(fingerprint, prepared)
-    counts = prepared.foreign_dominated_counts(probe_lo, probe_hi)
-    span.__exit__(None, None, None)
-    return counts, telemetry.end_remote()
-
-
-def _phase1_parallel(
-    view: PartitionedDataset, engine, pool_size: int, bins: int, spill_store=None
-):
-    """Fan phase 1 out over the shared session pool.
-
-    Returns ``(locals, summaries, pool, shm_metas)`` — the pool stays
-    open for phase 2 (and for the next query: it is the process-global
-    :func:`repro.engine.session._process_pool`), and ``shm_metas`` maps
-    shard fingerprints to the transfer handles the workers exported:
-    shared-memory metas (whose cleanup the caller now owns) or, in
-    spill mode, store-owned spill-file metas (nothing to clean up).
+    Returns one ``(local scores, summary)`` entry per shard. The pool
+    outlives the query: it is the process-global
+    :func:`repro.engine.session._process_pool`.
     """
     from .session import _process_pool
 
     spill = spill_store is not None
     store = spill_store if spill else getattr(engine, "store", None)
     store_dir = str(store.directory) if store is not None else None
-    pool = _process_pool(pool_size)
-    payloads = [_shard_payload(shard, store_dir, bins, spill) for shard in view.shards]
-    results = list(pool.map(_phase1_worker, payloads))
-    for r in results:
-        telemetry.absorb_spans(r[3])
-    shm_metas = {
-        shard.fingerprint(): r[2]
-        for shard, r in zip(view.shards, results)
-        if r[2] is not None
-    }
-    return [r[0] for r in results], [r[1] for r in results], pool, shm_metas
-
-
-class _Exchanger:
-    """One phase-2 exchange surface serving both τ refinement and the
-    final candidate exchange (in-process or over the phase-1 pool)."""
-
-    def __init__(self, view, pool, provider, lo, hi, shm_metas=None) -> None:
-        self._view = view
-        self._pool = pool
-        #: ``shard -> PreparedDataset`` callable — a list lookup on the
-        #: resident path, the resident-set attach in spill mode. Holding
-        #: a callable instead of the prepared list keeps this object
-        #: from pinning every shard's tables in RAM at once.
-        self._provider = provider
-        self._lo = lo
-        self._hi = hi
-        self._shm_metas = shm_metas or {}
-        #: Fixed-size windows the survivor sets were streamed in
-        #: (reported as ``exchange_windows`` in partition stats).
-        self.windows = 0
-
-    def _window_rows(self) -> int:
-        """Survivor rows per exchange window, sized so one window's
-        sentinel payload (lo + hi rows) stays under the byte cap."""
-        d = int(self._lo.shape[1]) if self._lo.ndim == 2 else 1
-        per_row = 2 * self._lo.dtype.itemsize * max(d, 1)
-        return max(1, _EXCHANGE_WINDOW_BYTES // per_row)
-
-    def add_exact(self, rows: np.ndarray, total: np.ndarray) -> None:
-        """Fold every shard's exact foreign contribution into ``total[rows]``.
-
-        The survivor set is streamed in fixed-size windows rather than
-        broadcast whole, so per-exchange bytes stay capped however many
-        candidates survive phase 1. Contributions are integer adds into
-        disjoint-per-shard positions, so the window order (and any
-        window size) is bit-identical to the one-shot exchange.
-        """
-        if rows.size == 0:
-            return
-        lo, hi = self._lo, self._hi
-        window = self._window_rows()
-        self.windows += -(-rows.size // window)
-        if self._pool is None:
-            # Shard-major: table attaches dominate in spill mode, so each
-            # shard is attached once; the inner windows bound the gathered
-            # sentinel temporaries instead.
-            for shard in self._view.shards:
-                foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
-                if foreign.size:
-                    prepared = self._provider(shard)
-                    for start in range(0, foreign.size, window):
-                        sel = foreign[start : start + window]
-                        total[sel] += prepared.foreign_dominated_counts(
-                            lo[sel], hi[sel]
-                        )
-            return
-        # Window-major over the pool: one window's futures (all shards)
-        # are submitted and drained before the next window starts, so the
-        # pickled sentinel bytes in flight are capped too.
-        for start in range(0, rows.size, window):
-            wrows = rows[start : start + window]
-            futures = []
-            for shard in self._view.shards:
-                foreign = wrows[(wrows < shard.start) | (wrows >= shard.stop)]
-                fingerprint = shard.fingerprint()
-                for chunk_start in range(0, foreign.size, _PROBE_CHUNK):
-                    chunk = foreign[chunk_start : chunk_start + _PROBE_CHUNK]
-                    payload = (
-                        fingerprint,
-                        shard.dataset.values,
-                        shard.dataset.directions,
-                        lo[chunk],
-                        hi[chunk],
-                        self._shm_metas.get(fingerprint),
-                        telemetry.propagation_context(),
-                    )
-                    futures.append(
-                        (chunk, self._pool.submit(_phase2_worker, payload))
-                    )
-            for chunk, future in futures:
-                counts, spans = future.result()
-                total[chunk] += counts
-                telemetry.absorb_spans(spans)
+    payloads = [
+        (
+            shard.fingerprint(),
+            shard.dataset.values,
+            shard.dataset.directions,
+            store_dir,
+            bins,
+            spill,
+            telemetry.propagation_context(),
+        )
+        for shard in shards
+    ]
+    entries = []
+    for entry, spans in _process_pool(pool_size).map(_phase1_worker, payloads):
+        telemetry.absorb_spans(spans)
+        entries.append(entry)
+    return entries

@@ -361,6 +361,11 @@ class PreparedDatasetCache:
         #: "recompute the tables" (see :meth:`attach_spilled`).
         self._resident: OrderedDict[str, tuple[PreparedDataset, int]] = OrderedDict()
         self._lock = make_lock("cache")
+        #: Memoised :meth:`_total_bytes` and the entries' summed
+        #: ``lazy_built`` it was measured at; ``None`` after any change to
+        #: the entry set, so a plain hit does not re-walk every array.
+        self._bytes: int | None = None
+        self._built = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -417,6 +422,7 @@ class PreparedDatasetCache:
             else:
                 entry = PreparedDataset(dataset)
                 self._data[fingerprint] = entry
+                self._bytes = None
                 self.misses += 1
             self._enforce()
             return entry
@@ -439,6 +445,7 @@ class PreparedDatasetCache:
         with self._lock:
             self._data[fingerprint] = prepared
             self._data.move_to_end(fingerprint)
+            self._bytes = None
             self._enforce()
 
     # -- resident set of memory-mapped spilled shards -----------------------
@@ -509,14 +516,28 @@ class PreparedDatasetCache:
             self._resident.clear()
 
     def _enforce(self) -> None:
-        while len(self._data) > 1 and self._total_bytes() > self.max_bytes:
+        while len(self._data) > 1 and self._footprint() > self.max_bytes:
             # Spare the most recently used entry (the caller is about to
             # use it); evict the cheapest rebuild-per-byte among the rest.
             # min() keeps the first — least recently used — entry on ties.
             victims = list(self._data.items())[:-1]
             victim = min(victims, key=lambda kv: kv[1].rebuild_cost_per_byte)[0]
             del self._data[victim]
+            self._bytes = None
             self.evictions += 1
+
+    def _footprint(self) -> int:
+        """:meth:`_total_bytes`, re-measured only when it can have moved.
+
+        Entries grow in place only by building a lazy structure, so the
+        memoised total stands until the entry set changes or the summed
+        ``lazy_built`` count moves — the next access after a table build
+        still sheds entries until the total fits again.
+        """
+        built = sum(entry.lazy_built for entry in self._data.values())
+        if self._bytes is None or built != self._built:
+            self._bytes, self._built = self._total_bytes(), built
+        return self._bytes
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss/eviction counters.
@@ -527,6 +548,7 @@ class PreparedDatasetCache:
         with self._lock:
             self._data.clear()
             self._resident.clear()
+            self._bytes = None
             self.hits = 0
             self.misses = 0
             self.evictions = 0
@@ -555,11 +577,10 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     """The lazily built process pool shared by every parallel route.
 
     One pool serves repeated :meth:`QueryEngine.query_many` sweeps *and*
-    partitioned phase-1 fan-outs across calls, so worker spawn + import
-    cost is paid once per process instead of once per batch — and worker
-    affinity makes the workers' own prepared/shard caches effective
-    across queries. Size-capped; a request larger than the current pool
-    grows it (recreate), a broken pool is replaced transparently.
+    cold partitioned phase-1 fan-outs across calls, so worker spawn +
+    import cost is paid once per process instead of once per batch.
+    Size-capped; a request larger than the current pool grows it
+    (recreate), a broken pool is replaced transparently.
     """
     global _pool, _pool_size
     wanted = max(1, min(int(workers), _POOL_MAX_WORKERS))
@@ -1939,20 +1960,20 @@ class ContinuousQuery:
         if k is None:
             k = self._k if self._k is not None else 10
         k = validate_k(k, self._dataset.n)
-        scores = self._scores
+        scores, ids = self._scores, self._dataset.ids
         if tie_break != "index":
             selection = select_top_k(scores, k, tie_break=tie_break, rng=rng)
-            return [(self._dataset.ids[i], int(scores[i])) for i in selection]
-        rows, _order = self._select_rows(k, None)
-        return [(self._dataset.ids[i], int(scores[i])) for i in rows]
+            return [(ids[i], int(scores[i])) for i in selection]
+        rows, _order = self._select_rows(k, None, k)
+        return [(ids[i], int(scores[i])) for i in rows]
 
     def results(self, *, tie_break: str = "index", rng=None) -> dict[int, list]:
         """Current answers for every subscribed k, as ``{k: pairs}``.
 
         The multi-k batch read: subscribed k values whose cached
         selections survived the boundary checks are served in ``O(k)``,
-        and the ones that did not share a *single* full-order sort of the
-        maintained vector — k answers for one re-rank.
+        and the ones that did not share a *single* partial selection at
+        the largest subscribed k — k answers for one re-rank.
         """
         from ..core.result import validate_k
 
@@ -1962,28 +1983,29 @@ class ContinuousQuery:
         out: dict[int, list] = {}
         order = None
         ids, scores = self._dataset.ids, self._scores
-        for k in ks:
-            rows, order = self._select_rows(validate_k(int(k), self._dataset.n), order)
+        valid = [validate_k(int(k), self._dataset.n) for k in ks]
+        for k, kk in zip(ks, valid):
+            rows, order = self._select_rows(kk, order, max(valid))
             out[int(k)] = [(ids[i], int(scores[i])) for i in rows]
         return out
 
-    def _select_rows(self, k: int, order: np.ndarray | None):
-        """The (validated) top-``k`` rows, via cache or shared full sort.
+    def _select_rows(self, k: int, order: np.ndarray | None, top: int):
+        """The (validated) top-``k`` rows, via cache or a shared selection.
 
-        Returns ``(rows, order)`` where *order* is the full lexsort when
-        this call had to compute (or was handed) one — so a batch over
-        several k values pays for at most one sort.
+        *order* is the canonical top-*top* selection (``top ≥ k``) when an
+        earlier k of the same batch computed it; returns ``(rows, order)``
+        so a batch over several k values pays for at most one selection.
         """
+        from ..core.result import select_top_k
+
         scores = self._scores
         entry = self._selections.get(k)
         if entry is not None and self._entry_safe(entry):
             rows = entry[0]
         else:
             if order is None:
-                # Exact fallback: lexsort replicates select_top_k's
-                # (-score, index) ordering at C speed over the whole vector.
-                order = np.lexsort((np.arange(scores.size), -scores))
-            rows = order[:k].astype(np.intp)
+                order = np.asarray(select_top_k(scores, top), dtype=np.intp)
+            rows = order[:k]
         rows = rows[np.lexsort((rows, -scores[rows]))]  # refresh in-set order
         boundary = int(scores[rows].min()) if rows.size else 0
         self._selections[k] = (rows, boundary, self._events_base + len(self._events))

@@ -1,7 +1,7 @@
 """Engine-wide telemetry: hierarchical spans, metrics, exporters.
 
 The engine spans six layers, three process boundaries (the ``query_many``
-pool, the partition phase-1/phase-2 workers, spill I/O) and a native
+pool, the partition phase-1 workers, spill I/O) and a native
 threaded C kernel library — and until this module the only visibility
 was counters read after the fact. Telemetry answers "where did this
 query spend its time?" on any production query:

@@ -171,7 +171,8 @@ def group_by_skyline(
             projected = dataset.project(other_dims)
             # Map original rows into the projection (ids are preserved).
             proj_index = {object_id: i for i, object_id in enumerate(projected.ids)}
-            view_rows = [proj_index[dataset.ids[row]] for row in rows_with_view]
+            all_ids = dataset.ids
+            view_rows = [proj_index[all_ids[row]] for row in rows_with_view]
             skyline_local = set(_skyline_among(projected, view_rows))
             members = [
                 row

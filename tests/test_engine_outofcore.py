@@ -6,7 +6,7 @@ kernel question bit-identically to the anonymous-RAM build — across
 word-boundary sizes, NaN payload variety, and tombstoned deletes — and
 evicting/re-attaching an attachment must never change an answer. On top
 of that sit the resident-set manager's accounting, the engine's spill
-trigger and adaptive repartitioner, the hierarchical summary merge, and
+trigger and adaptive repartitioner, the flat summary merge, and
 the store's spill-file lifecycle.
 """
 
@@ -280,22 +280,19 @@ class TestEngineOutOfCore:
         np.testing.assert_array_equal(after.scores, before.scores)
 
 
-class TestHierarchicalMerge:
-    def test_tree_merge_kicks_in_and_stays_exact(self):
+class TestFlatMerge:
+    def test_flat_merge_at_many_shards_stays_exact(self):
         from repro.core.naive import naive_tkd
 
         ds = random_dataset(400, seed=13, payload_nan=True)
         want = naive_tkd(ds, 10)
-        result = execute_partitioned(PartitionedDataset(ds, 24), 10)
-        assert result.stats.extra["merge"] == "tree"
-        assert result.stats.extra["merge_groups"] >= 2
-        assert result.ids == want.ids
-        np.testing.assert_array_equal(result.scores, want.scores)
-        flat = execute_partitioned(PartitionedDataset(ds, 8), 10)
-        assert flat.stats.extra["merge"] == "flat"
-        assert flat.ids == want.ids
+        for partitions in (8, 24):
+            result = execute_partitioned(PartitionedDataset(ds, partitions), 10)
+            assert result.stats.extra["merge_groups"] == 0
+            assert result.ids == want.ids
+            np.testing.assert_array_equal(result.scores, want.scores)
 
-    def test_tree_bounds_dominate_true_scores(self):
+    def test_flat_bounds_dominate_true_scores(self):
         ds = random_dataset(300, seed=14, missing=0.5)
         view = PartitionedDataset(ds, 20)
         lo, hi = _bounds(ds)
@@ -306,12 +303,9 @@ class TestHierarchicalMerge:
             [dominated_counts(s.dataset).astype(np.int64) for s in view.shards]
         )
         exact = dominated_counts(ds).astype(np.int64)
-        tau = int(np.partition(lower, ds.n - 10)[ds.n - 10])
-        upper, groups, _, _ = _merged_upper_bounds(
-            view.shards, summaries, lower, lo, hi, tau
-        )
-        assert groups >= 2
+        upper, _ = _merged_upper_bounds(view.shards, summaries, lower, lo, hi)
         assert (upper >= exact).all()
+        assert (upper >= lower).all()
 
     def test_grid_sketch_is_sound_and_tightens(self):
         ds = random_dataset(256, seed=15, missing=0.4)

@@ -202,31 +202,14 @@ def _per_probe_upper_bounds(summary, probe_lo, probe_hi=None):
     return np.minimum(out, union)
 
 
-def _per_probe_merge(shards, summaries, lower, lo, hi, tau, bins=128):
-    """Reference flat/tree merge built from :func:`_per_probe_upper_bounds`."""
-    n = lower.shape[0]
-    if len(shards) <= partition._TREE_MERGE_MIN_SHARDS:
-        upper = lower.copy()
-        for shard, summary in zip(shards, summaries):
-            ub = _per_probe_upper_bounds(summary, lo, hi)
-            upper += ub
-            upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
-        return upper
-    group_count = max(2, int(round(len(shards) ** 0.5)))
-    step = -(-len(shards) // group_count)
-    envelope = np.zeros(n, dtype=np.int64)
-    for g0 in range(0, len(shards), step):
-        gs, ge = shards[g0].start, shards[min(g0 + step, len(shards)) - 1].stop
-        group = ShardSummary.from_bounds(lo[gs:ge], hi[gs:ge], bins=bins)
-        envelope += _per_probe_upper_bounds(group, lo, hi)
-    cand = np.flatnonzero(envelope >= tau)
-    tight = lower[cand].astype(np.int64, copy=True)
+def _per_probe_merge(shards, summaries, lower, lo, hi):
+    """Reference flat merge built from :func:`_per_probe_upper_bounds`."""
+    upper = lower.copy()
     for shard, summary in zip(shards, summaries):
-        ub = _per_probe_upper_bounds(summary, lo[cand], hi[cand])
-        ub[(cand >= shard.start) & (cand < shard.stop)] = 0
-        tight += ub
-    envelope[cand] = np.minimum(envelope[cand], tight)
-    return envelope
+        ub = _per_probe_upper_bounds(summary, lo, hi)
+        upper += ub
+        upper[shard.start : shard.stop] -= ub[shard.start : shard.stop]
+    return upper
 
 
 def _random_values(n, d, *, missing, continuous, seed):
@@ -268,10 +251,11 @@ class TestProbeIndexBitIdentity:
             rows = np.random.default_rng(seed).choice(400, 57, replace=False)
             sub = probe_lo[rows], None if ph is None else ph[rows]
             assert np.array_equal(
-                summary.upper_bound_counts(probes.take(rows)),
+                summary.upper_bound_counts(_Probes(*sub)),
                 _per_probe_upper_bounds(summary, *sub),
             )
-            empty = summary.upper_bound_counts(probes.take(np.zeros(0, dtype=np.intp)))
+            none = probe_lo[:0], None if ph is None else ph[:0]
+            empty = summary.upper_bound_counts(_Probes(*none))
             assert empty.shape == (0,) and empty.dtype == np.int64
 
     def test_index_is_compact(self):
@@ -280,7 +264,7 @@ class TestProbeIndexBitIdentity:
         assert all(inverse.dtype == np.uint8 for _, inverse in probes.lo + probes.hi)
         assert probes.distinct == sum(np.unique(col).size for col in np.hstack([lo, hi]).T)
 
-    @pytest.mark.parametrize("partitions", [8, 20, 32])  # flat, tree, tree
+    @pytest.mark.parametrize("partitions", [8, 20, 32])
     @pytest.mark.parametrize("continuous", [False, True])
     def test_merge_matches_per_probe_merge(self, partitions, continuous):
         from repro.engine.kernels import dominated_counts
@@ -294,15 +278,9 @@ class TestProbeIndexBitIdentity:
         lower = np.concatenate(
             [dominated_counts(s.dataset).astype(np.int64) for s in view.shards]
         )
-        tau = int(np.partition(lower, ds.n - 10)[ds.n - 10])
-        upper, groups, survivors, distinct = _merged_upper_bounds(
-            view.shards, summaries, lower, lo, hi, tau
-        )
-        assert np.array_equal(upper, _per_probe_merge(view.shards, summaries, lower, lo, hi, tau))
-        assert (groups > 0) == (partitions > partition._TREE_MERGE_MIN_SHARDS)
-        assert 0 < survivors <= ds.n
-        if not groups:
-            assert survivors == ds.n
+        upper, distinct = _merged_upper_bounds(view.shards, summaries, lower, lo, hi)
+        assert np.array_equal(upper, _per_probe_merge(view.shards, summaries, lower, lo, hi))
+        assert (upper >= dominated_counts(ds)).all()
         assert distinct == _Probes(lo, hi).distinct
 
 
@@ -373,9 +351,7 @@ class TestMergeSpan:
         execute_partitioned(PartitionedDataset(ds, partitions), 5)
         (merge,) = [s for s in telemetry.collected_spans() if s["name"] == "partition.merge"]
         attrs = merge["attrs"]
-        assert 0 < attrs["envelope_survivors"] <= ds.n
-        if partitions <= partition._TREE_MERGE_MIN_SHARDS:
-            assert attrs["envelope_survivors"] == ds.n
+        assert 0 < attrs["candidates"] <= ds.n
         lo, hi = _bounds(ds)
         assert attrs["distinct_probes"] == _Probes(lo, hi).distinct
 
@@ -659,3 +635,143 @@ class TestPartitionedScoresAgainstScoreAll:
         got = dict(zip(result.indices, result.scores))
         for row, score in got.items():
             assert score == int(full[row])
+
+
+class TestPhase1Memo:
+    """Phase 1 does not depend on k: a view computes it once, a new k pays
+    only for τ, the exchange and the selection, and a routed delta
+    recomputes only the entries of the shards it touched."""
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        was = telemetry.enabled()
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        yield
+        telemetry.set_enabled(was)
+        telemetry.reset()
+
+    @staticmethod
+    def _spans(name):
+        return [s for s in telemetry.collected_spans() if s["name"] == name]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_k_ladder_matches_naive_and_pays_phase1_once(self, workers):
+        # Shards of 600 rows: large enough that their tables get built.
+        ds = random_dataset(1200, seed=50, missing=0.3)
+        engine = fresh_engine()
+        first = engine.query(ds, 1, partitions=2, workers=workers)
+        assert first.indices == naive_tkd(ds, 1).indices
+        assert len(self._spans("partition.phase1.shard")) == 2
+        telemetry.reset()
+        for k in range(2, 40, 3):
+            got = engine.query(ds, k, partitions=2, workers=workers)
+            want = naive_tkd(ds, k)
+            assert got.indices == want.indices and got.scores == want.scores, k
+        assert not self._spans("partition.phase1.shard")
+        assert not self._spans("kernel.build_tables")
+        phase1 = self._spans("partition.phase1")
+        assert len(phase1) == 13
+        assert all(s["attrs"]["computed"] == 0 for s in phase1)
+
+    def test_direct_view_k_ladder_reuses_the_memo(self):
+        ds = random_dataset(300, seed=53, missing=0.4)
+        view = PartitionedDataset(ds, 4)
+        for k in (1, 5, 17, 64, 300):
+            got = execute_partitioned(view, k)
+            want = naive_tkd(ds, k)
+            assert got.indices == want.indices and got.scores == want.scores, k
+        assert len(self._spans("partition.phase1.shard")) == 4
+        assert len(self._spans("partition.phase1")) == 5
+
+    def test_threads_sharing_one_cold_view_stay_exact(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        ds = random_dataset(400, seed=54, missing=0.3)
+        view = PartitionedDataset(ds, 5)
+        ks = list(range(1, 25))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(execute_partitioned, view, k) for k in ks]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in zip(ks, results):
+            want = naive_tkd(ds, k)
+            assert got.indices == want.indices and got.scores == want.scores, k
+
+    def test_routed_deltas_recompute_only_touched_shards(self):
+        ds = random_dataset(1200, seed=51, missing=0.3)
+        engine = fresh_engine()
+        engine.query(ds, 5, partitions=4)
+        writes = [
+            lambda cur: engine.insert(cur, [[1.0, np.nan, 3.0, 2.0]]),
+            lambda cur: engine.delete(cur, [cur.ids[700]]),
+            lambda cur: engine.update(cur, {cur.ids[30]: {0: 0.0}}),
+        ]
+        current = ds
+        for step, write in enumerate(writes):
+            with engine._lock:
+                parent_memo = engine._partitioned.get(current.fingerprint())._phase1_memo(
+                    partition._SUMMARY_BINS
+                )
+            current = write(current)
+            with engine._lock:
+                child_view = engine._partitioned.get(current.fingerprint())
+            memo = child_view._phase1_memo(partition._SUMMARY_BINS)
+            assert len(memo.shards) == child_view.partitions - 1, step
+            for fp, entry in memo.shards.items():
+                assert entry is parent_memo.shards[fp]  # carried, not recomputed
+            assert memo.merged is None  # lower/upper rebuilt for the child
+            telemetry.reset()
+            got = engine.query(current, 5 + step, partitions=4)
+            want = naive_tkd(current, 5 + step)
+            assert got.indices == want.indices and got.scores == want.scores, step
+            (phase1,) = self._spans("partition.phase1")
+            assert phase1["attrs"]["computed"] == 1
+            assert len(self._spans("partition.phase1.shard")) == 1
+
+
+class TestSelectTopKBoundaryTies:
+    """``select_top_k`` sorts only the rows at or above the k-th score; the
+    answer must equal a full sort even when many rows tie at the k-th."""
+
+    @staticmethod
+    def _full_sort(scores, k, eligible=None, tie_break="index", seed=None):
+        candidates = np.flatnonzero(eligible) if eligible is not None else np.arange(scores.size)
+        k = min(k, candidates.size)
+        if tie_break == "random":
+            shuffled = candidates[np.random.default_rng(seed).permutation(candidates.size)]
+            keys = -scores[shuffled].astype(np.float64)
+            return shuffled[np.argsort(keys, kind="stable")[:k]].tolist()
+        keys = -scores[candidates].astype(np.float64)
+        return candidates[np.lexsort((candidates, keys))[:k]].tolist()
+
+    @pytest.mark.parametrize("use_eligible", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 50, 199, 200, 500])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_ties_at_the_kth_score_match_a_full_sort(self, use_eligible, k, kind):
+        from repro.core.result import select_top_k
+
+        rng = np.random.default_rng(k + 7 * use_eligible)
+        scores = rng.integers(0, 4, 200)  # ~50 rows share every score
+        if kind == "float":
+            scores = scores * 0.5
+        eligible = rng.random(200) < 0.6 if use_eligible else None
+        got = select_top_k(scores, k, eligible=eligible)
+        assert got == self._full_sort(scores, k, eligible)
+        kth = scores[got[-1]]
+        assert (scores[np.flatnonzero(eligible) if use_eligible else slice(None)] == kth).sum() > 1
+        for seed in (0, 1):
+            got = select_top_k(scores, k, eligible=eligible, tie_break="random", rng=seed)
+            assert got == self._full_sort(scores, k, eligible, "random", seed)
+
+    def test_nan_scores_rank_last(self):
+        from repro.core.result import select_top_k
+
+        scores = np.array([np.nan, 2.0, np.nan, 1.0, 2.0])
+        for k in range(1, 6):
+            assert select_top_k(scores, k) == self._full_sort(scores, k)
