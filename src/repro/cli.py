@@ -125,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical — this only changes speed",
     )
     query.add_argument(
-        "--native-threads",
-        default=None,
-        metavar="N",
-        help="in-process threads for native kernels: a count or 'auto' "
-        "(default: $REPRO_NATIVE_THREADS, else 1); bit-identical at any count",
-    )
-    query.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -174,13 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "numpy", "native"),
         help="kernel backend (default: $REPRO_BACKEND, else auto); backends are "
         "bit-identical — this only changes speed",
-    )
-    stream.add_argument(
-        "--native-threads",
-        default=None,
-        metavar="N",
-        help="in-process threads for native kernels: a count or 'auto' "
-        "(default: $REPRO_NATIVE_THREADS, else 1); bit-identical at any count",
     )
     stream.add_argument(
         "--trace",
@@ -262,21 +248,13 @@ def _load_csv(args) -> IncompleteDataset:
 
 
 def _select_backend(args) -> None:
-    """Apply ``--backend`` / ``--native-threads`` (process-wide; before
-    any kernel runs)."""
+    """Apply ``--backend`` (process-wide; before any kernel runs)."""
     if getattr(args, "backend", None) is not None:
         from .engine.backend import select_backend
 
         select_backend(args.backend)
         # Pool workers resolve their backend from the environment.
         os.environ["REPRO_BACKEND"] = args.backend
-    if getattr(args, "native_threads", None) is not None:
-        from .engine.backend import set_native_threads
-
-        set_native_threads(args.native_threads)
-        # Pool workers apply the same thread count when they load the
-        # native library.
-        os.environ["REPRO_NATIVE_THREADS"] = str(args.native_threads)
 
 
 def _start_trace(args) -> None:

@@ -20,10 +20,8 @@ registered:
   and the popcount that numpy executes as separate full-width
   temporaries. Each hot kernel is one portable C function; on x86-64
   the compiler clones it into baseline and AVX2 bodies and the loader
-  picks one for the CPU, so one ``.so`` serves every host. A pass can
-  split over an in-process pthread pool (``REPRO_NATIVE_THREADS``,
-  :func:`set_native_threads`) — row blocks write disjoint output ranges,
-  so every thread count stays bit-identical.
+  picks one for the CPU, so one ``.so`` serves every host. Every pass
+  runs single-threaded on the calling thread.
 
 Both backends are bit-identical by construction (the parity suite in
 ``tests/test_engine_backend.py`` enforces it), so selection —
@@ -80,9 +78,6 @@ __all__ = [
     "native_build_mode",
     "simd_route",
     "native_threads",
-    "set_native_threads",
-    "use_native_threads",
-    "set_thread_min_words",
     "select_backend",
     "get_backend",
     "use_backend",
@@ -106,19 +101,13 @@ _DIRECTIONS = {"dominated": 0, "dominator": 1}
 #: next to the baseline one and an ifunc resolver picks between them at
 #: load time, so the cached ``.so`` stays baseline-ISA portable across
 #: hosts that share a cache (hence no ``-march=native``: the cache key
-#: does not include the CPU). ``-DREPRO_NO_CLONES`` /
-#: ``-DREPRO_NO_THREADS`` gate the clones and the pthread pool out for
-#: toolchains that cannot build them.
+#: does not include the CPU). ``-DREPRO_NO_CLONES`` gates the clones out
+#: for toolchains that cannot build them.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-#if !defined(REPRO_NO_THREADS)
-#include <pthread.h>
-#endif
-
 #define API __attribute__((visibility("default")))
-#define REPRO_MAX_THREADS 16
 
 #if !defined(REPRO_NO_CLONES) && defined(__x86_64__) && defined(__GNUC__)
 #define REPRO_CLONES 1
@@ -223,139 +212,17 @@ KERNEL void fused_bits(const uint64_t **suffix, const uint64_t **prefix,
     }
 }
 
-/* Thread config: written from Python at setup time, read (relaxed) by
- * every kernel call, possibly from worker threads — hence atomics. */
-static int threads_current = 1;
-static int64_t threads_min_words = (int64_t)1 << 19;
-
-API int32_t repro_set_threads(int32_t n) {
-#if defined(REPRO_NO_THREADS)
-    (void)n;
+/* What this build carries: bit 0 = compiler clones. */
+API int32_t repro_build_flags(void) {
+#if defined(REPRO_CLONES)
     return 1;
 #else
-    if (n < 1) n = 1;
-    if (n > REPRO_MAX_THREADS) n = REPRO_MAX_THREADS;
-    __atomic_store_n(&threads_current, n, __ATOMIC_RELAXED);
-    return n;
-#endif
-}
-
-API int32_t repro_get_threads(void) {
-    return __atomic_load_n(&threads_current, __ATOMIC_RELAXED);
-}
-
-/* Work-size gate (in table words touched) below which a call stays
- * single-threaded; returns the previous value (negative = query). */
-API int64_t repro_set_thread_min_words(int64_t words) {
-    int64_t prev = __atomic_load_n(&threads_min_words, __ATOMIC_RELAXED);
-    if (words >= 0)
-        __atomic_store_n(&threads_min_words, words, __ATOMIC_RELAXED);
-    return prev;
-}
-
-/* What this build carries: bit 0 = compiler clones, bit 1 = pthreads. */
-API int32_t repro_build_flags(void) {
-    int32_t flags = 0;
-#if defined(REPRO_CLONES)
-    flags |= 1;
-#endif
-#if !defined(REPRO_NO_THREADS)
-    flags |= 2;
-#endif
-    return flags;
-}
-
-/* ------------------------------------------------------------------ */
-/* Row-block threading: rows are independent and each block writes a   */
-/* disjoint output range, so any thread count is bit-identical to the  */
-/* sequential pass.  Threads are spawned per call and joined before    */
-/* return — nothing outlives the call, which keeps fork() safe.        */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    int kind; /* 0 = popcount_rows, 1 = fused_counts, 2 = fused_bits */
-    const uint64_t *words;
-    const uint64_t **suffix;
-    const uint64_t **prefix;
-    const int64_t *rank_ge;
-    const int64_t *rank_le;
-    const uint64_t *live;
-    int64_t b, d, w;
-    int32_t mode;
-    int64_t *out_counts;
-    uint64_t *out_bits;
-} repro_block;
-
-static void run_block(const repro_block *t) {
-    switch (t->kind) {
-    case 0:
-        popcount_rows(t->words, t->b, t->w, t->out_counts);
-        break;
-    case 1:
-        fused_counts(t->suffix, t->prefix, t->rank_ge, t->rank_le, t->live,
-                     t->b, t->d, t->w, t->mode, t->out_counts);
-        break;
-    default:
-        fused_bits(t->suffix, t->prefix, t->rank_ge, t->rank_le, t->b, t->d,
-                   t->w, t->mode, t->out_bits);
-        break;
-    }
-}
-
-#if !defined(REPRO_NO_THREADS)
-static void *run_block_thread(void *arg) {
-    run_block((const repro_block *)arg);
     return 0;
-}
-#endif
-
-static void run_blocked(repro_block *base) {
-#if defined(REPRO_NO_THREADS)
-    run_block(base);
-#else
-    int64_t nt = repro_get_threads();
-    if (nt > base->b)
-        nt = base->b;
-    int64_t streams = base->kind == 0 ? 1 : 2 * base->d + 1;
-    int64_t total = base->b * base->w * streams;
-    if (nt <= 1 ||
-        total < __atomic_load_n(&threads_min_words, __ATOMIC_RELAXED)) {
-        run_block(base);
-        return;
-    }
-    repro_block tasks[REPRO_MAX_THREADS];
-    pthread_t tids[REPRO_MAX_THREADS];
-    int started[REPRO_MAX_THREADS];
-    int64_t chunk = (base->b + nt - 1) / nt;
-    int count = 0;
-    for (int64_t start = 0; start < base->b; start += chunk) {
-        repro_block t = *base;
-        int64_t len = base->b - start;
-        if (len > chunk)
-            len = chunk;
-        t.b = len;
-        if (t.words) t.words += start * t.w;
-        if (t.rank_ge) t.rank_ge += start * t.d;
-        if (t.rank_le) t.rank_le += start * t.d;
-        if (t.out_counts) t.out_counts += start;
-        if (t.out_bits) t.out_bits += start * t.w;
-        tasks[count++] = t;
-    }
-    for (int t = 1; t < count; ++t)
-        started[t] = pthread_create(&tids[t], 0, run_block_thread,
-                                    &tasks[t]) == 0;
-    run_block(&tasks[0]);
-    for (int t = 1; t < count; ++t) {
-        if (started[t])
-            pthread_join(tids[t], 0);
-        else
-            run_block(&tasks[t]); /* spawn failed: do the work inline */
-    }
 #endif
 }
 
 /* ------------------------------------------------------------------ */
-/* Public kernel entry points (threading wrappers).                    */
+/* Public kernel entry points.                                         */
 /* ------------------------------------------------------------------ */
 
 /* Per-row popcount of a (b, W) uint64 matrix. */
@@ -367,13 +234,7 @@ API void repro_popcount_rows(const uint64_t *words, int64_t b, int64_t w,
         memset(out, 0, (size_t)b * sizeof(int64_t));
         return;
     }
-    repro_block task = {0};
-    task.kind = 0;
-    task.words = words;
-    task.b = b;
-    task.w = w;
-    task.out_counts = out;
-    run_blocked(&task);
+    popcount_rows(words, b, w, out);
 }
 
 /* Fused accumulator counts (see fused_counts). */
@@ -387,19 +248,7 @@ API void repro_fused_counts(const uint64_t **suffix, const uint64_t **prefix,
         memset(out, 0, (size_t)b * sizeof(int64_t));
         return;
     }
-    repro_block task = {0};
-    task.kind = 1;
-    task.suffix = suffix;
-    task.prefix = prefix;
-    task.rank_ge = rank_ge;
-    task.rank_le = rank_le;
-    task.live = live;
-    task.b = b;
-    task.d = d;
-    task.w = w;
-    task.mode = mode;
-    task.out_counts = out;
-    run_blocked(&task);
+    fused_counts(suffix, prefix, rank_ge, rank_le, live, b, d, w, mode, out);
 }
 
 /* Fused accumulator rows (see fused_bits). */
@@ -413,18 +262,7 @@ API void repro_fused_bits(const uint64_t **suffix, const uint64_t **prefix,
         memset(out, 0, (size_t)(b * w) * sizeof(uint64_t));
         return;
     }
-    repro_block task = {0};
-    task.kind = 2;
-    task.suffix = suffix;
-    task.prefix = prefix;
-    task.rank_ge = rank_ge;
-    task.rank_le = rank_le;
-    task.b = b;
-    task.d = d;
-    task.w = w;
-    task.mode = mode;
-    task.out_bits = out;
-    run_blocked(&task);
+    fused_bits(suffix, prefix, rank_ge, rank_le, b, d, w, mode, out);
 }
 """
 
@@ -436,14 +274,10 @@ _native_lock = make_lock("native-build")
 
 #: Build attempts, best first. The embedded source compiles everywhere as
 #: plain C99 once the compiler clones (``target_clones`` needs ifunc
-#: support) and the pthread pool are gated out, so such a toolchain still
-#: yields a working library instead of the numpy fallback. A toolchain
-#: without ifunc (clang on macOS, GCC for musl) keeps the thread pool.
-_BUILD_ATTEMPTS: tuple[tuple[str, ...], ...] = (
-    ("-pthread",),
-    ("-pthread", "-DREPRO_NO_CLONES"),
-    ("-DREPRO_NO_CLONES", "-DREPRO_NO_THREADS"),
-)
+#: support) are gated out, so a toolchain without ifunc (clang on macOS,
+#: GCC for musl) still yields a working library instead of the numpy
+#: fallback.
+_BUILD_ATTEMPTS: tuple[tuple[str, ...], ...] = ((), ("-DREPRO_NO_CLONES",))
 
 
 def _compiler() -> str | None:
@@ -471,8 +305,7 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
     if cc is None:
         return None, "no C compiler found (cc/gcc/clang)"
     # Extra flags hook — the sanitizer CI legs inject e.g.
-    # "-fsanitize=address,undefined -fno-sanitize-recover=all -g" or
-    # "-fsanitize=thread -g" here. The flags participate in the cache key
+    # "-fsanitize=address,undefined -fno-sanitize-recover=all -g" here. The flags participate in the cache key
     # so a sanitized .so can never be served to (or poison) a normal run,
     # and vice versa.
     extra_flags = os.environ.get("REPRO_NATIVE_CFLAGS", "").split()
@@ -518,21 +351,12 @@ def _compile_native() -> tuple[ctypes.CDLL | None, str | None]:
         c_vpp, c_vpp, c_vp, c_vp, c_i64, c_i64, c_i64, c_i32, c_vp
     )
     lib.repro_fused_bits.restype = None
-    lib.repro_set_threads.argtypes = (c_i32,)
-    lib.repro_set_threads.restype = c_i32
-    lib.repro_get_threads.argtypes = ()
-    lib.repro_get_threads.restype = c_i32
-    lib.repro_set_thread_min_words.argtypes = (c_i64,)
-    lib.repro_set_thread_min_words.restype = c_i64
     lib.repro_build_flags.argtypes = ()
     lib.repro_build_flags.restype = c_i32
     # The cached .so may have been produced by an earlier process whose
     # toolchain fell back — ask the binary what it carries rather than
     # trusting which attempt succeeded here.
-    flags = int(lib.repro_build_flags())
-    _native_mode = {3: "clones+threads", 2: "threads", 1: "clones", 0: "portable"}[
-        flags & 3
-    ]
+    _native_mode = "clones" if int(lib.repro_build_flags()) & 1 else "portable"
     return lib, None
 
 
@@ -544,8 +368,6 @@ def _load_native() -> ctypes.CDLL | None:
     with _native_lock:
         if not _native_attempted:
             _native_lib, _native_error = _compile_native()
-            if _native_lib is not None:
-                _apply_native_env(_native_lib)
             _native_attempted = True
     return _native_lib
 
@@ -562,57 +384,13 @@ def native_build_error() -> str | None:
 
 
 def native_build_mode() -> str | None:
-    """What the loaded native library carries: ``"clones+threads"`` (the
-    full build), ``"threads"`` (the fallback for toolchains without
-    ifunc), ``"portable"`` (plain C99, the last fallback) or
-    ``"clones"`` (threads gated out by hand through
-    ``REPRO_NATIVE_CFLAGS``). ``None`` when the native backend is
-    unavailable."""
+    """What the loaded native library carries: ``"clones"`` (baseline and
+    AVX2 bodies, ifunc-selected at load) or ``"portable"`` (plain C99, the
+    fallback for toolchains without ifunc). ``None`` when the native
+    backend is unavailable."""
     if _load_native() is None:
         return None
     return _native_mode
-
-
-# ---------------------------------------------------------------------------
-# Thread-count configuration
-# ---------------------------------------------------------------------------
-
-_THREADS_ENV = "REPRO_NATIVE_THREADS"
-_MAX_NATIVE_THREADS = 16  # mirrors REPRO_MAX_THREADS in the C source
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _coerce_threads(value: int | str) -> int:
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return max(1, min(_cpu_count(), _MAX_NATIVE_THREADS))
-        try:
-            value = int(text)
-        except ValueError:
-            raise InvalidParameterError(
-                f"invalid native thread count {value!r} (expected int or 'auto')"
-            ) from None
-    count = int(value)
-    if count < 1:
-        raise InvalidParameterError(
-            f"native thread count must be >= 1, got {count}"
-        )
-    return min(count, _MAX_NATIVE_THREADS)
-
-
-def _apply_native_env(lib: ctypes.CDLL) -> None:
-    """Apply ``REPRO_NATIVE_THREADS`` to a freshly loaded library (also
-    how pool workers inherit the parent's thread count)."""
-    threads = os.environ.get(_THREADS_ENV, "").strip()
-    if threads:
-        lib.repro_set_threads(_coerce_threads(threads))
 
 
 def simd_route() -> str | None:
@@ -623,52 +401,9 @@ def simd_route() -> str | None:
 
 
 def native_threads() -> int:
-    """The in-process thread count native kernels currently split over."""
-    lib = _load_native()
-    if lib is None:
-        return 1
-    return int(lib.repro_get_threads())
-
-
-def set_native_threads(count: int | str | None = None) -> int:
-    """Set how many pthreads the native kernels may split a pass over.
-
-    ``count`` is an int, ``"auto"`` (CPU count, capped at 16) or ``None``
-    (no change). Threading never changes answers: row blocks write
-    disjoint output ranges, so any count is bit-identical. Returns the
-    count now in effect (always 1 when the native backend is unavailable
-    or was built with threads gated out).
-    """
-    lib = _load_native()
-    if lib is None:
-        if count is not None:
-            _coerce_threads(count)  # still validate loudly
-        return 1
-    if count is None:
-        return int(lib.repro_get_threads())
-    return int(lib.repro_set_threads(_coerce_threads(count)))
-
-
-@contextmanager
-def use_native_threads(count: int | str):
-    """Temporarily pin the native thread count (tests, benchmarks)."""
-    previous = native_threads()
-    effective = set_native_threads(count)
-    try:
-        yield effective
-    finally:
-        set_native_threads(previous)
-
-
-def set_thread_min_words(words: int | None = None) -> int:
-    """Get/set the work-size gate (table words touched per call) below
-    which native kernels stay single-threaded. ``None`` queries without
-    changing; returns the previous value. Tests set 0 so tiny inputs
-    still exercise the threaded path."""
-    lib = _load_native()
-    if lib is None:
-        return 0
-    return int(lib.repro_set_thread_min_words(-1 if words is None else int(words)))
+    """Host fact for benchmark records: the native kernels run every pass
+    on the calling thread, so this is always 1."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +465,9 @@ def _timed_kernel(method):
     """Per-call telemetry timing for a native kernel entry point.
 
     When tracing is enabled, each call's wall time lands in a metrics
-    histogram named ``native.<kernel>.<calibration_key>`` — the same
-    thread-count key the planner prices (``native:t4`` etc.), so
-    observed kernel latency is attributable to the configuration that
-    ran it. Disabled cost is one flag check per call; these entry
-    points are batched (one call per scan block, not per row), so that
-    check is far off the hot loop.
+    histogram named ``native.<kernel>``. Disabled cost is one flag check
+    per call; these entry points are batched (one call per scan block,
+    not per row), so that check is far off the hot loop.
     """
     name = method.__name__
 
@@ -745,9 +477,7 @@ def _timed_kernel(method):
             return method(self, *args, **kwargs)
         start = _clock()
         out = method(self, *args, **kwargs)
-        telemetry.metrics().observe(
-            f"native.{name}.{self.calibration_key}", _clock() - start
-        )
+        telemetry.metrics().observe(f"native.{name}", _clock() - start)
         return out
 
     return timed
@@ -767,13 +497,6 @@ class NativeBackend(KernelBackend):
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         self._numpy = NumpyBackend()
-
-    @property
-    def calibration_key(self) -> str:
-        """Planner calibration key naming the thread count in effect
-        (e.g. ``native:t4``) — a speedup measured at one thread count
-        must not price a different one."""
-        return f"native:t{int(self._lib.repro_get_threads())}"
 
     # -- helpers ------------------------------------------------------------
 
@@ -966,9 +689,6 @@ def measure_backend_speedup(
             from . import planner
 
             planner.record_backend_speedup("native", speedup)
-            # Also record under the thread-count key so `auto` prices
-            # the configuration actually measured.
-            planner.record_backend_speedup(native.calibration_key, speedup)
         except Exception:
             pass
     return speedup

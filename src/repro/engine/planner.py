@@ -100,12 +100,11 @@ _BIAS_ALPHA = 0.3
 #: a corrupt store entry can rescale vectorised costs but not zero them.
 _BACKEND_SPEEDUP_CLIP = (0.25, 16.0)
 
-#: Shape of the backend calibration keys this version records: a backend
-#: name, optionally with the native thread count (``native:t4``). A
-#: persisted key of any other shape (e.g. a per-SIMD-route
-#: ``native:avx512:t1``) prices a configuration that no longer exists and
-#: is dropped on load.
-_BACKEND_KEY_RE = re.compile(r"[a-z]+(:t\d+)?")
+#: Shape of the backend calibration keys this version records: a bare
+#: backend name (``native``). A persisted key of any other shape (one
+#: that also named a thread count or a SIMD route) prices a
+#: configuration that no longer exists and is dropped on load.
+_BACKEND_KEY_RE = re.compile(r"[a-z]+")
 
 
 @dataclass
@@ -270,15 +269,7 @@ def _active_backend_speedup() -> float:
         active = backend_module._active_backend
         if active is None or not active.native:
             return 1.0
-        # Prefer the calibration of the thread count in effect (e.g.
-        # "native:t4"): a speedup measured at one thread count must not
-        # price a different one. Fall back to the backend-wide key for
-        # observations recorded before the count was known (or persisted
-        # by an older store).
-        key = getattr(active, "calibration_key", None)
-        speedup = backend_speedup(key) if key else None
-        if speedup is None:
-            speedup = backend_speedup(active.name)
+        speedup = backend_speedup(active.name)
     except Exception:  # pragma: no cover - defensive
         return 1.0
     if speedup is None or speedup <= 0.0:

@@ -73,7 +73,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError, UnknownAlgorithmError
 from ._lockcheck import make_lock
-from .backend import SharedTables, select_backend, set_native_threads
+from .backend import SharedTables, select_backend
 from .kernels import (
     PreparedDataset,
     SentinelDelta,
@@ -655,13 +655,6 @@ class QueryEngine:
         are process-global); backends are bit-identical, so this only
         affects speed. ``None`` (default) leaves the current selection
         (itself resolved from ``REPRO_BACKEND``, default ``auto``) alone.
-    native_threads: in-process pthread count the native kernels may
-        split one accumulator/foreign-count pass over — an int,
-        ``"auto"`` (CPU count, capped at 16) or ``None`` (default: leave
-        the current setting, itself seeded from
-        ``REPRO_NATIVE_THREADS``). Process-wide like ``backend``; row
-        blocks write disjoint output ranges, so any thread count is
-        bit-identical. A no-op when the native backend is unavailable.
     memory_budget: resident-set byte budget for partitioned queries —
         bytes, or a size string (``"512M"``, ``"2G"``; see
         :func:`parse_memory_budget`). When a partitioned query's total
@@ -692,7 +685,6 @@ class QueryEngine:
         dataset_cache: PreparedDatasetCache | None = None,
         store: "PersistentStore | str | Path | None" = None,
         backend: str | None = None,
-        native_threads: "int | str | None" = None,
         memory_budget: "int | str | None" = None,
         trace: "bool | None" = None,
     ) -> None:
@@ -702,8 +694,6 @@ class QueryEngine:
             # flag could only ever trace fragments of it.
             telemetry.set_enabled(trace)
         self._backend = select_backend(backend) if backend is not None else None
-        if native_threads is not None:
-            set_native_threads(native_threads)
         self._prepared = _LRU(max_prepared)
         self._results = _LRU(max_results)
         #: Incrementally maintained full score vectors, per fingerprint —
@@ -1154,6 +1144,32 @@ class QueryEngine:
         computes them once (exact fallback) and maintains them from then
         on.
         """
+        self._check_route(algorithm, partitions, workers)
+        with telemetry.trace("engine.query") as root:
+            root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
+            with self._lock:
+                self.stats.queries += 1
+            key = self._result_key(dataset, k) if tie_break == "index" else None
+            result = None if key is None else self._cached_result(key, root)
+            if result is not None:
+                return result
+            return self._answer(
+                dataset,
+                k,
+                key,
+                root,
+                algorithm=algorithm,
+                tie_break=tie_break,
+                rng=rng,
+                repeats=repeats,
+                partitions=partitions,
+                workers=workers,
+                **options,
+            )
+
+    @staticmethod
+    def _check_route(algorithm: str, partitions, workers) -> None:
+        """Reject an unknown algorithm or a bad partitions/workers pair."""
         from ..core.query import ALGORITHMS  # deferred: core imports the engine
 
         if algorithm.lower() not in (*ALGORITHMS, "auto", "incremental"):
@@ -1174,40 +1190,50 @@ class QueryEngine:
                 )
             if int(workers) < 1:
                 raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        with telemetry.trace("engine.query") as root:
-            root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
-            with self._lock:
-                self.stats.queries += 1
-            key = self._result_key(dataset, k) if tie_break == "index" else None
-            result = None if key is None else self._cached_result(key, root)
-            if result is not None:
-                return result
-            if partitions is not None:
-                partitions = self._resolve_partitions(dataset, k, partitions, workers)
-            if partitions is None:
-                result, elapsed = self._query_monolithic(
-                    dataset,
-                    k,
-                    root,
-                    algorithm=algorithm,
-                    tie_break=tie_break,
-                    rng=rng,
-                    repeats=repeats,
-                    options=options,
-                )
-            else:
-                result, elapsed = self._execute_partitioned(
-                    dataset,
-                    k,
-                    root,
-                    partitions=partitions,
-                    workers=workers,
-                    tie_break=tie_break,
-                    rng=rng,
-                )
-            if key is not None:
-                self._remember_result(key, result, elapsed)
-            return result
+
+    def _answer(
+        self,
+        dataset,
+        k: int,
+        key: tuple | None,
+        root,
+        *,
+        algorithm: str = "auto",
+        tie_break: str = "index",
+        rng=None,
+        repeats: int = 1,
+        partitions: "int | str | None" = None,
+        workers: int | None = None,
+        **options,
+    ):
+        """Compute one answer the result cache did not hold, and remember
+        it under *key* (``None`` for uncacheable tie-breaks)."""
+        if partitions is not None:
+            partitions = self._resolve_partitions(dataset, k, partitions, workers)
+        if partitions is None:
+            result, elapsed = self._query_monolithic(
+                dataset,
+                k,
+                root,
+                algorithm=algorithm,
+                tie_break=tie_break,
+                rng=rng,
+                repeats=repeats,
+                options=options,
+            )
+        else:
+            result, elapsed = self._execute_partitioned(
+                dataset,
+                k,
+                root,
+                partitions=partitions,
+                workers=workers,
+                tie_break=tie_break,
+                rng=rng,
+            )
+        if key is not None:
+            self._remember_result(key, result, elapsed)
+        return result
 
     def _result_key(self, dataset, k) -> tuple:
         """The result-cache key: one canonical answer per dataset and k."""
@@ -1472,29 +1498,56 @@ class QueryEngine:
         bit-identical to the sequential path under deterministic
         tie-breaking.
         """
+        if workers is not None and int(workers) < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         materialised = [self._coerce_request(req, algorithm) for req in requests]
         repeats = max(len(materialised), 1)
+        results: list = [None] * len(materialised)
+        keys: list[tuple | None] = [None] * len(materialised)
         resolved = []
-        for dataset, k, request_algorithm, request_options in materialised:
+        for position, (dataset, k, request_algorithm, request_options) in enumerate(
+            materialised
+        ):
             options = {**common_options, **request_options}
-            if request_algorithm.lower() == "auto":
+            with self._lock:
+                self.stats.queries += 1
+            if options.get("tie_break", "index") == "index":
+                # One answer per (fingerprint, k) whatever the route, so a
+                # request the cache already answers is neither planned nor
+                # executed (nor shipped to a worker).
+                keys[position] = self._result_key(dataset, k)
+                results[position] = self._cached_result(keys[position])
+            if results[position] is None and request_algorithm.lower() == "auto":
                 request_algorithm, options = self._apply_plan(
                     self.plan(dataset, k, repeats=repeats), options
                 )
             resolved.append((dataset, k, request_algorithm, options))
+        pending = [position for position, result in enumerate(results) if result is None]
 
-        if workers is not None and int(workers) < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         if workers is None or int(workers) <= 1 or len(resolved) <= 1:
             # Buffer store writes so the whole batch lands in one
             # lock + atomic rewrite instead of one per computed answer.
             with self._batched_store_writes():
-                results = [
-                    self.query(dataset, k, algorithm=request_algorithm, **options)
-                    for dataset, k, request_algorithm, options in resolved
-                ]
+                for position in pending:
+                    dataset, k, request_algorithm, options = resolved[position]
+                    key = keys[position]
+                    if key is not None:
+                        # An earlier request of this batch may have
+                        # computed the same (fingerprint, k) answer.
+                        with self._lock:
+                            results[position] = self._results.get(key)
+                        if results[position] is not None:
+                            continue
+                    self._check_route(
+                        request_algorithm, options.get("partitions"), options.get("workers")
+                    )
+                    with telemetry.trace("engine.query") as root:
+                        root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
+                        results[position] = self._answer(
+                            dataset, k, key, root, algorithm=request_algorithm, **options
+                        )
         else:
-            results = self._query_many_parallel(resolved, int(workers))
+            self._query_many_parallel(resolved, pending, keys, results, int(workers))
         # A batch is a natural persistence point: the planner biases the
         # sweep just refined should survive into the next process.
         self.flush()
@@ -1519,31 +1572,22 @@ class QueryEngine:
                 if pending:
                     self._store.put_results(pending)
 
-    def _query_many_parallel(self, resolved: list, workers: int) -> list:
-        """Shard resolved requests across a process pool; merge caches.
+    def _query_many_parallel(
+        self, resolved: list, pending: list[int], keys: list, results: list, workers: int
+    ) -> None:
+        """Answer the *pending* positions of *resolved* on a process pool,
+        filling *results* in place and merging the answers into the
+        result cache under *keys*.
 
         With a :attr:`store`, each shard warm-starts from it twice over:
-        the parent serves every request the store already holds without
-        shipping it, and the workers (which open the same store) write
-        their fresh answers back, so the next run — in *any* process —
-        starts warm. Datasets whose bitset tables this session already
+        the parent has already served every request the store holds
+        without shipping it, and the workers (which open the same store)
+        write their fresh answers back, so the next run — in *any*
+        process — starts warm. Datasets whose bitset tables this session already
         prepared are additionally exported once into shared memory
         (:class:`~repro.engine.backend.SharedTables`) so workers attach
         zero-copy instead of re-preparing them.
         """
-        results: list = [None] * len(resolved)
-        pending: list[int] = []
-        keys: list[tuple | None] = [None] * len(resolved)
-        for position, (dataset, k, _algorithm, options) in enumerate(resolved):
-            with self._lock:
-                self.stats.queries += 1
-            if options.get("tie_break", "index") == "index":
-                keys[position] = self._result_key(dataset, k)
-                results[position] = self._cached_result(keys[position])
-                if results[position] is not None:
-                    continue
-            pending.append(position)
-
         if pending:
             shard_count = min(workers, len(pending))
             # Contiguous shards keep a sweep's repeated datasets on one
@@ -1608,7 +1652,6 @@ class QueryEngine:
                     for handle in handles.values():
                         handle.close()
                         handle.unlink()
-        return results
 
     @staticmethod
     def _coerce_request(request, default_algorithm: str):

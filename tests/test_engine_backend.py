@@ -6,7 +6,10 @@ Covers the backend subsystem end to end:
   resolve to the expected backend and reject unknown names;
 * parity — the native route returns **bit-identical** answers to the
   portable numpy route on every kernel it accelerates (counts, masks,
-  foreign probes, rank splices/moves), including word-boundary sizes;
+  foreign probes, live masks, tombstoned rows, popcount), including
+  word-boundary sizes and NaN payloads;
+* build fallback — a toolchain that cannot compile the compiler clones
+  still yields a working, bit-identical portable library;
 * shared memory — :class:`SharedTables` round-trips a prepared dataset
   zero-copy, refcounts attaches, and never leaves a ``/dev/shm`` entry
   behind (engine path, worker-exception path, fallback path);
@@ -16,7 +19,13 @@ Covers the backend subsystem end to end:
 
 from __future__ import annotations
 
+import json
 import os
+import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +39,7 @@ from repro.engine.backend import (
     get_backend,
     measure_backend_speedup,
     native_available,
+    native_build_mode,
     select_backend,
     shared_segment_names,
     unlink_shared,
@@ -37,6 +47,7 @@ from repro.engine.backend import (
 )
 from repro.engine.kernels import (
     PreparedDataset,
+    _BitsetTables,
     dominated_counts,
     dominated_masks,
     dominator_counts,
@@ -44,6 +55,8 @@ from repro.engine.kernels import (
 )
 from repro.engine.session import PreparedDatasetCache, QueryEngine, shutdown_pool
 from repro.errors import InvalidParameterError
+
+REPO = Path(__file__).resolve().parent.parent
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native backend unavailable (no working C compiler)"
@@ -64,6 +77,16 @@ def _tabled(ds) -> PreparedDataset:
     prepared = PreparedDataset(ds)
     assert prepared.tables(build=True) is not None
     return prepared
+
+
+def _full_answer(ds):
+    prepared = _tabled(ds)
+    return (
+        dominated_counts(ds, prepared=prepared).tolist(),
+        dominator_counts(ds, prepared=prepared).tolist(),
+        dominated_masks(ds, prepared=prepared).tolist(),
+        dominator_masks(ds, prepared=prepared).tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +145,25 @@ class TestBackendRegistry:
 
 @needs_native
 class TestBackendParity:
-    @pytest.mark.parametrize("n", (63, 64, 65, 257, 700))
+    @pytest.mark.parametrize("n", (63, 64, 65, 128, 257, 700))
     def test_counts_and_masks(self, make_incomplete, n):
+        """Word-boundary sizes with NaN payloads."""
         ds = make_incomplete(n, 4, missing_rate=0.3, seed=n)
         per_backend = {}
         for name in ("numpy", "native"):
             with use_backend(name):
-                prepared = _tabled(ds)
-                per_backend[name] = (
-                    dominated_counts(ds, prepared=prepared).tolist(),
-                    dominator_counts(ds, prepared=prepared).tolist(),
-                    dominated_masks(ds, prepared=prepared).tolist(),
-                    dominator_masks(ds, prepared=prepared).tolist(),
-                )
+                per_backend[name] = _full_answer(ds)
+        assert per_backend["numpy"] == per_backend["native"]
+
+    @pytest.mark.parametrize("n", (63, 64, 65))
+    def test_counts_and_masks_general_body(self, make_incomplete, n):
+        """The same word-boundary sizes at d=3, which runs the general
+        per-dimension loop instead of the unrolled d=4 body."""
+        ds = make_incomplete(n, 3, missing_rate=0.3, seed=n)
+        per_backend = {}
+        for name in ("numpy", "native"):
+            with use_backend(name):
+                per_backend[name] = _full_answer(ds)
         assert per_backend["numpy"] == per_backend["native"]
 
     def test_foreign_probes_including_all_missing(self, make_incomplete):
@@ -156,6 +185,51 @@ class TestBackendParity:
                     probe_lo, probe_hi
                 ).tolist()
         assert per_backend["numpy"] == per_backend["native"]
+
+    @pytest.mark.parametrize("d", (3, 4))
+    def test_accumulator_kernels_with_live_mask(self, d):
+        """The fused count kernel with and without a live mask, and the
+        fused mask kernel, in both directions, at the unrolled d=4 body
+        and the general one."""
+        rng = np.random.default_rng(d)
+        values = rng.random((130, d))
+        values[rng.random((130, d)) < 0.2] = np.nan
+        lo = np.where(np.isnan(values), -np.inf, values)
+        hi = np.where(np.isnan(values), np.inf, values)
+        tables = _BitsetTables(lo, hi)
+        idx = np.arange(130, dtype=np.intp)
+        live = rng.integers(0, 2**64, size=tables.words, dtype=np.uint64)
+        numpy_backend = backend_module._numpy_backend
+        native = backend_module._native()
+        for direction in ("dominated", "dominator"):
+            for mask in (None, live):
+                expected = numpy_backend.accumulator_counts(
+                    tables, lo, hi, idx, direction=direction, live=mask
+                )
+                got = native.accumulator_counts(
+                    tables, lo, hi, idx, direction=direction, live=mask
+                )
+                assert got.tolist() == expected.tolist(), direction
+            expected_bits = numpy_backend.accumulator_bits(
+                tables, lo, hi, idx, direction=direction
+            )
+            got_bits = native.accumulator_bits(tables, lo, hi, idx, direction=direction)
+            assert np.array_equal(got_bits, expected_bits), direction
+
+    def test_tombstoned_rows_parity(self, make_incomplete):
+        """Streams that leave tombstones behind answer identically (the
+        live mask rides through the kernels)."""
+        answers = {}
+        for name in ("numpy", "native"):
+            ds = make_incomplete(200, 4, missing_rate=0.3, seed=21)
+            with use_backend(name):
+                engine = QueryEngine(dataset_cache=PreparedDatasetCache())
+                child = engine.delete(ds, list(ds.ids[10:40]))
+                trace = [engine.query(child, 10).ids]
+                child = engine.insert(child, [[0.5, 0.5, 0.5, 0.5]])
+                trace.append(engine.query(child, 10).ids)
+                answers[name] = trace
+        assert answers["numpy"] == answers["native"]
 
     def test_update_stream_parity(self, make_incomplete):
         """Whole insert/update/delete sequences agree across backends."""
@@ -182,6 +256,118 @@ class TestBackendParity:
             expected = kernels._popcount_rows(words).tolist()
         with use_backend("native"):
             assert kernels._popcount_rows(words).tolist() == expected
+
+    def test_popcount_parity_edge_shapes(self):
+        """All-zero and all-ones words, a single set bit per word, and the
+        empty shapes the native wrapper answers without calling C."""
+        single = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        cases = [
+            np.zeros((65, 2), dtype=np.uint64),
+            np.full((64, 3), np.iinfo(np.uint64).max, dtype=np.uint64),
+            single.reshape(64, 1),
+            single.reshape(16, 4),
+            np.zeros((5, 0), dtype=np.uint64),
+            np.zeros((0, 3), dtype=np.uint64),
+        ]
+        for words in cases:
+            with use_backend("numpy"):
+                expected = kernels._popcount_rows(words).tolist()
+            with use_backend("native"):
+                assert kernels._popcount_rows(words).tolist() == expected, words.shape
+
+
+# ---------------------------------------------------------------------------
+# Graceful fallback when the compiler clones cannot build
+# ---------------------------------------------------------------------------
+
+_FALLBACK_PROBE = textwrap.dedent(
+    """\
+    import json
+    import numpy as np
+    from repro.core.dataset import IncompleteDataset
+    from repro.engine.backend import native_available, native_build_mode, use_backend
+    from repro.engine.kernels import PreparedDataset, dominated_counts, dominated_masks
+
+    assert native_available(), "fallback build should still load"
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0, 10, size=(80, 3))
+    values[rng.uniform(size=(80, 3)) < 0.25] = np.nan
+    ds = IncompleteDataset(values.tolist())
+    answers = {}
+    for name in ("numpy", "native"):
+        with use_backend(name):
+            prepared = PreparedDataset(ds)
+            prepared.tables(build=True)
+            answers[name] = (
+                dominated_counts(ds, prepared=prepared).tolist(),
+                dominated_masks(ds, prepared=prepared).tolist(),
+            )
+    assert answers["numpy"] == answers["native"]
+    print(json.dumps({"mode": native_build_mode(), "answer": answers["native"]}))
+    """
+)
+
+
+@needs_native
+class TestBuildFallback:
+    def test_build_mode_reported(self):
+        assert native_build_mode() in {"clones", "portable"}
+
+    def test_clone_compile_failure_falls_back_to_portable(self, tmp_path):
+        """A toolchain that rejects ``target_clones`` (no ifunc) must still
+        produce a working library: the build retries with
+        -DREPRO_NO_CLONES, reports the portable mode, and answers
+        bit-identically to numpy and to this process's build."""
+        real_cc = backend_module._compiler()
+        wrapper = tmp_path / "cc-restricted"
+        wrapper.write_text(
+            textwrap.dedent(
+                f"""\
+                #!/bin/sh
+                for arg in "$@"; do
+                    if [ "$arg" = "-DREPRO_NO_CLONES" ]; then
+                        exec {real_cc} "$@"
+                    fi
+                done
+                echo "error: target_clones unsupported by this toolchain" >&2
+                exit 1
+                """
+            )
+        )
+        wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
+        env = dict(os.environ)
+        env.update(
+            CC=str(wrapper),
+            REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
+            PYTHONPATH=str(REPO / "src"),
+        )
+        # Only the wrapper decides which attempt succeeds: inherited extra
+        # flags (the sanitizer legs set some) would reach every attempt.
+        env.pop("REPRO_NATIVE_CFLAGS", None)
+        result = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.strip().splitlines()[-1])
+        assert report["mode"] == "portable"
+
+        from repro.core.dataset import IncompleteDataset
+
+        rng = np.random.default_rng(0)
+        values = rng.uniform(0, 10, size=(80, 3))
+        values[rng.uniform(size=(80, 3)) < 0.25] = np.nan
+        ds = IncompleteDataset(values.tolist())
+        with use_backend("native"):
+            prepared = _tabled(ds)
+            here = [
+                dominated_counts(ds, prepared=prepared).tolist(),
+                dominated_masks(ds, prepared=prepared).tolist(),
+            ]
+        assert report["answer"] == here
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +528,20 @@ class TestBackendCalibration:
 
     def test_stale_route_keys_are_ignored(self, tmp_path):
         """A store written while calibration keys named a SIMD route
-        (``native:avx512:t1``) loads without error: the stale key is
-        dropped, pricing falls back to the backend-wide ``native`` key,
-        and the next save does not carry the stale key forward."""
+        (``native:avx512:t1``) or a native thread count (``native:t1``)
+        loads without error: the stale keys are dropped, pricing reads
+        the backend-wide ``native`` key, and the next save does not carry
+        the stale keys forward."""
         from repro.engine.store import PersistentStore
 
+        stale = {"native:avx512:t1": 9.0, "native:t1": 7.0}
         store = PersistentStore(tmp_path / "store")
-        store.save_planner({"bias": {}, "backends": {"native": 2.0, "native:avx512:t1": 9.0}})
+        store.save_planner({"bias": {}, "backends": {"native": 2.0, **stale}})
         planner.reset_calibration()
         try:
             planner.apply_calibration_state(store.load_planner())
-            assert planner.backend_speedup("native:avx512:t1") is None
+            for key in stale:
+                assert planner.backend_speedup(key) is None, key
             assert planner.backend_speedup("native") == 2.0
             if native_available():
                 with use_backend("native"):

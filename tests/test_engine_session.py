@@ -182,6 +182,32 @@ class TestQueryMany:
         assert engine.stats.prepared_misses == 1
         assert engine.stats.prepared_hits == 4
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_cached_requests_are_not_planned(self, make_incomplete, workers):
+        """The result key does not depend on the route, so a repeated
+        batch is answered from the cache without a single plan call."""
+        ds = make_incomplete(120, 4, missing_rate=0.2, seed=12)
+        requests = [(ds, k) for k in (1, 3, 5, 7)]
+        engine = QueryEngine()
+        plans = []
+        plan = engine.plan
+
+        def counting_plan(*args, **kwargs):
+            plans.append(args)
+            return plan(*args, **kwargs)
+
+        engine.plan = counting_plan
+        first = engine.query_many(requests, workers=workers)
+        assert len(plans) == len(requests)
+        second = engine.query_many(requests, workers=workers)
+        assert len(plans) == len(requests)
+        assert all(a is b for a, b in zip(first, second))
+        assert engine.stats.result_hits == len(requests)
+        assert engine.stats.result_hits + engine.stats.result_misses == engine.stats.queries
+        for k, result in zip((1, 3, 5, 7), second):
+            oracle = top_k_dominating(ds, k, algorithm="naive")
+            assert result.indices == oracle.indices
+
     def test_bad_requests_rejected(self, make_incomplete):
         ds = make_incomplete(10, 2, seed=0)
         engine = QueryEngine()

@@ -531,13 +531,13 @@ def test_real_backend_declarations_all_verified():
     assert check_ctypes_prototypes(sf) == []
 
     report = verified_declarations(backend)
-    assert len(report) == 7  # three kernels + four thread/build config calls
+    assert len(report) == 4  # three kernels + the build-flags query
     for entry in report:
         assert entry["py_args"] is not None, entry
         assert len(entry["py_args"]) == len(entry["c_args"]), entry
         assert entry["restype_checked"], entry
     # each argument position plus each restype is one verified declaration
-    assert sum(e["declarations"] for e in report) == 32
+    assert sum(e["declarations"] for e in report) == 27
 
 
 def test_real_backend_parses_all_exported_functions():
@@ -551,14 +551,10 @@ def test_real_backend_parses_all_exported_functions():
         "repro_build_flags",
         "repro_fused_bits",
         "repro_fused_counts",
-        "repro_get_threads",
         "repro_popcount_rows",
-        "repro_set_thread_min_words",
-        "repro_set_threads",
     ]
     # (void) parameter lists parse to empty arg tuples, not a '?void' arg
-    assert sigs["repro_build_flags"]["args"] == []
-    assert sigs["repro_set_threads"] == {"ret": "int32_t", "args": ["i32"]}
+    assert sigs["repro_build_flags"] == {"ret": "int32_t", "args": []}
 
 
 def test_embedded_source_sha_is_stable():
