@@ -23,14 +23,14 @@ Examples::
     python -m repro info data.csv
     python -m repro query data.csv --k 5 --algorithm big
     python -m repro query data.csv --sweep-k 4,8,16,32 --workers 2
-    python -m repro query data.csv --k 5 --partitions 4 --workers 4
+    python -m repro query data.csv --k 5 --partitions 4
     python -m repro query data.csv --sweep-k 4,8,16,32 --store .repro-cache
     python -m repro stream data.csv --ops updates.csv --k 5 --every 100
     python -m repro cache stats --dir .repro-cache
     python -m repro cache compact --dir .repro-cache
     python -m repro compress data.csv --schemes wah,concise,roaring
     python -m repro experiment --experiment fig18 --scale 0.02
-    python -m repro query data.csv --k 5 --partitions 8 --workers 4 --trace q.json
+    python -m repro query data.csv --k 5 --partitions 8 --trace q.json
     python -m repro trace summary q.json
 """
 
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes: shards a --sweep-k batch, or runs --partitions "
-        "shards on a process pool (default: in-process)",
+        help="worker processes that shard a --sweep-k batch (default: "
+        "in-process); accepted with --partitions, which runs in-process",
     )
     query.add_argument(
         "--partitions",
@@ -379,7 +379,6 @@ def _run_partitioned(args, dataset) -> int:
                 dataset.missing_rate,
                 args.k,
                 partitions=None if isinstance(partitions, str) else partitions,
-                workers=args.workers,
                 memory_budget=engine.memory_budget,
             ).summary()
         )
@@ -390,7 +389,7 @@ def _run_partitioned(args, dataset) -> int:
     extra = result.stats.extra
     if "partitions" in extra:
         print(
-            f"partitions={extra['partitions']} workers={extra.get('workers', 0)} "
+            f"partitions={extra['partitions']} "
             f"candidates={result.stats.candidates} "
             f"(survival {extra.get('survival', 0.0):.1%}, tau={extra.get('tau')})"
         )

@@ -27,7 +27,7 @@ Three layers, each consumable on its own:
   age-aware compaction pass (``repro cache compact``);
 * :mod:`repro.engine.partition` — :class:`PartitionedDataset` and the
   two-phase distributed top-k protocol behind
-  ``QueryEngine.query(partitions=P, workers=N)``: per-shard prepared
+  ``QueryEngine.query(partitions=P)``: per-shard prepared
   structures, summary-bound pruning before any cross-partition
   exchange, and delta routing to the owning shard — bit-identical to
   the monolithic answer;

@@ -1,4 +1,4 @@
-"""Partitioned execution: one query's data sharded across workers.
+"""Partitioned execution: one query's data sharded into row partitions.
 
 Every algorithm in the reproduction — the paper's UBB/BIG/IBIG family
 included — evaluates one monolithic dataset in one process, so single-query
@@ -62,10 +62,9 @@ objects), so the local scores, the summaries and the merged upper
 bounds are memoised on the :class:`PartitionedDataset` per summary bin
 count, and a routed delta recomputes only the touched shards' entries.
 A new ``k`` pays for τ, the refinement, the exchange and the selection.
-With ``workers=N`` a cold phase 1 fans out over one process pool, whose
-workers warm-start from the persistent store under the shard's own
-fingerprint key; phase 2 runs in the coordinator against the session's
-prepared cache (or the spill resident set).
+Both phases run in the calling process: the tables phase 1 builds (or
+spills and attaches) land in the session's prepared cache (or the spill
+resident set), so phase 2 reads them without a second build.
 """
 
 from __future__ import annotations
@@ -664,7 +663,6 @@ def execute_partitioned(
     k: int,
     *,
     engine=None,
-    workers: int | None = None,
     tie_break: str = "index",
     rng=None,
     summary_bins: int = _SUMMARY_BINS,
@@ -680,9 +678,8 @@ def execute_partitioned(
     than the monolithic permutation.
 
     Phase 1 is memoised on *view* per *summary_bins*: only shards
-    without an entry are computed, over the process pool when
-    ``workers=N`` (N ≥ 2) and more than one is missing. Phase 2 reads
-    shard tables through *engine*'s shared prepared-dataset cache.
+    without an entry are computed. Both phases read shard tables through
+    *engine*'s shared prepared-dataset cache, so each is built once.
 
     With *spill_store* and *memory_budget* set, shard tables live as
     memory-mapped spill files in the store and only a bounded resident
@@ -699,9 +696,6 @@ def execute_partitioned(
     n = dataset.n
     kk = validate_k(k, n)
     shards = view.shards
-    pool_workers = 0 if workers is None else int(workers)
-    if pool_workers < 0:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     spill = spill_store is not None
     if spill:
         # Out-of-core: build → spill → drop, never holding more than the
@@ -717,18 +711,11 @@ def execute_partitioned(
     with telemetry.trace("partition.phase1") as span:
         missing = [shard for shard in shards if shard.fingerprint() not in memo.shards]
         span.set("shards", len(shards)).set("computed", len(missing))
-        span.set("workers", pool_workers).set("spill", spill)
-        if pool_workers > 1 and len(missing) > 1:
-            entries = _phase1_parallel(
-                missing, engine, min(pool_workers, len(missing)), summary_bins, spill_store
+        span.set("spill", spill)
+        for shard in missing:
+            memo.shards[shard.fingerprint()] = _shard_phase1(
+                shard.dataset, partial(provider, shard), summary_bins, spill
             )
-        else:
-            entries = [
-                _shard_phase1(shard.dataset, partial(provider, shard), summary_bins, spill)
-                for shard in missing
-            ]
-        for shard, entry in zip(missing, entries):
-            memo.shards[shard.fingerprint()] = entry
     phase1_seconds = _clock() - start_p1
 
     # -- merge: bounds, tau, surviving candidates --------------------------
@@ -828,7 +815,6 @@ def execute_partitioned(
     stats.extra.update(
         partitions=len(shards),
         shard_sizes=list(view.sizes),
-        workers=pool_workers,
         tau=tau,
         refined=int(refined.size),
         survival=float(survivors) / max(n, 1),
@@ -917,10 +903,10 @@ def _refine_in_parent(
 ) -> None:
     """Exactly score the small refinement head against every shard.
 
-    One ``(head, m)`` comparison pass per shard and dimension — no
-    tables, no pool round; the head is ``O(k)`` so this is cheaper than
-    shipping it anywhere. Folding the dimensions one at a time keeps
-    the reductions off numpy's slow short-axis ``all``/``any``.
+    One ``(head, m)`` comparison pass per shard and dimension, no
+    tables; the head is ``O(k)`` so this is cheaper than shipping it
+    anywhere. Folding the dimensions one at a time keeps the reductions
+    off numpy's slow short-axis ``all``/``any``.
     """
     for shard in view.shards:
         foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
@@ -990,70 +976,3 @@ def _attach_spilled(engine, store, shard: PartitionShard, budget: int) -> Prepar
         max_resident_bytes=budget,
     )
 
-
-# ---------------------------------------------------------------------------
-# Process-pool workers (cold phase 1)
-# ---------------------------------------------------------------------------
-
-
-def _phase1_worker(payload: tuple):
-    """Pool worker: one shard's phase-1 entry and the spans it recorded.
-
-    Warm-starts the shard's tables from the persistent store when one is
-    configured; in spill mode it builds and spills them there instead,
-    so the coordinator's phase 2 attaches the file rather than
-    rebuilding. The trailing payload element is the coordinator's trace
-    context; spans recorded here come back as the trailing result
-    element.
-    """
-    from ..core.dataset import IncompleteDataset
-
-    fingerprint, values, directions, store_dir, bins, spill, trace_ctx = payload
-    telemetry.begin_remote(trace_ctx)
-    dataset = IncompleteDataset(values, directions=directions)
-
-    def prepare() -> PreparedDataset:
-        if store_dir:
-            from .store import PersistentStore
-
-            store = PersistentStore(store_dir)
-            if spill:
-                return _spill_prepared(store, fingerprint, dataset)[0]
-            stored = store.get_prepared(fingerprint)
-            if stored is not None and stored.n == dataset.n:
-                return stored
-        return PreparedDataset(dataset)
-
-    entry = _shard_phase1(dataset, prepare, bins, spill)
-    return entry, telemetry.end_remote()
-
-
-def _phase1_parallel(shards, engine, pool_size: int, bins: int, spill_store=None) -> list:
-    """Fan phase 1 for *shards* out over the shared session pool.
-
-    Returns one ``(local scores, summary)`` entry per shard. The pool
-    outlives the query: it is the process-global
-    :func:`repro.engine.session._process_pool`.
-    """
-    from .session import _process_pool
-
-    spill = spill_store is not None
-    store = spill_store if spill else getattr(engine, "store", None)
-    store_dir = str(store.directory) if store is not None else None
-    payloads = [
-        (
-            shard.fingerprint(),
-            shard.dataset.values,
-            shard.dataset.directions,
-            store_dir,
-            bins,
-            spill,
-            telemetry.propagation_context(),
-        )
-        for shard in shards
-    ]
-    entries = []
-    for entry, spans in _process_pool(pool_size).map(_phase1_worker, payloads):
-        telemetry.absorb_spans(spans)
-        entries.append(entry)
-    return entries

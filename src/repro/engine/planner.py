@@ -623,13 +623,11 @@ def plan_delta(
     )
 
 
-#: Charged once per pool worker a partitioned plan would spin up: process
-#: spawn + payload pickling. Generous on purpose — partitioning should
-#: only win when shards carry real work.
-_POOL_SPAWN_SECONDS = 0.04
 #: A shard's packed-table route costs roughly this many passes over the
 #: table bytes (build + one gather sweep), mirroring _REBUILD_PASS_FACTOR.
 _SHARD_TABLE_PASSES = 12.0
+#: Shard counts ``partitions="auto"`` prices when no budget forces one.
+_PARTITION_LADDER = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -640,8 +638,6 @@ class PartitionPlan:
     action: str
     #: Shard count the estimate priced (the best candidate).
     partitions: int
-    #: Pool workers the estimate assumed (1 = in-process shards).
-    workers: int
     #: Modelled seconds of the partitioned plan.
     estimated_seconds: float
     #: Modelled seconds of the best monolithic algorithm.
@@ -659,7 +655,7 @@ class PartitionPlan:
 
     def summary(self) -> str:
         text = (
-            f"partition plan: {self.action} (P={self.partitions}, W={self.workers}) — "
+            f"partition plan: {self.action} (P={self.partitions}) — "
             f"partitioned {self.estimated_seconds * 1e3:.1f}ms vs "
             f"monolithic {self.monolithic_seconds * 1e3:.1f}ms, "
             f"est. survival {self.survival:.0%} ({self.reason})"
@@ -691,16 +687,14 @@ def estimate_partition_costs(
     k: int,
     *,
     partitions: int,
-    workers: int = 1,
 ) -> dict[str, float]:
-    """Modelled seconds of the two-phase protocol at one ``(P, W)`` point."""
+    """Modelled seconds of the two-phase protocol over *partitions*
+    in-process shards."""
     if partitions < 1:
         raise InvalidParameterError(f"partitions must be >= 1, got {partitions}")
     cal = calibration()
     partitions = min(int(partitions), n)
-    workers = max(int(workers), 1)
     m = math.ceil(n / partitions)
-    rounds = math.ceil(partitions / min(workers, partitions))
 
     table_bytes = _bitset_table_bytes(m, d)
     if table_bytes <= _BITSET_TABLE_BUDGET_BYTES:
@@ -716,22 +710,16 @@ def estimate_partition_costs(
         exchange_shard = cal.vec * candidates * d * (m / 8.0)  # packed gathers
     else:
         exchange_shard = cal.vec * candidates * m * d
-    spawn = _POOL_SPAWN_SECONDS * (workers if workers > 1 else 0)
     # Fixed per-shard Python work the kernels can't amortise: subset
     # construction, fingerprinting, summary sorts, dispatch bookkeeping.
     per_shard_fixed = cal.step * 100 + cal.vec * m * d * 10
-    total = (
-        rounds * (shard_seconds + exchange_shard)
-        + merge_seconds
-        + spawn
-        + per_shard_fixed * partitions
-    )
+    phase1 = partitions * shard_seconds + merge_seconds
+    phase2 = partitions * exchange_shard
     return {
-        "total": total,
-        "phase1": rounds * shard_seconds + merge_seconds,
-        "phase2": rounds * exchange_shard,
+        "total": phase1 + phase2 + per_shard_fixed * partitions,
+        "phase1": phase1,
+        "phase2": phase2,
         "survival": survival,
-        "spawn": spawn,
     }
 
 
@@ -742,15 +730,14 @@ def plan_partitioned(
     k: int,
     *,
     partitions: int | None = None,
-    workers: int | None = None,
     memory_budget: int | None = None,
 ) -> PartitionPlan:
     """Price partitioned vs. monolithic execution for one query.
 
     With *partitions* given, only that shard count is priced (the engine
     still executes a forced ``partitions=P`` request either way — the
-    plan is what ``partitions="auto"`` consults). Otherwise a small
-    ladder of worker-aligned candidates is searched.
+    plan is what ``partitions="auto"`` consults). Otherwise the shard
+    counts of :data:`_PARTITION_LADDER` are searched.
 
     *memory_budget* adds the out-of-core dimension: when the monolithic
     tables alone would exceed it, partitioning is forced (the monolithic
@@ -762,7 +749,6 @@ def plan_partitioned(
     """
     if n <= 0 or d <= 0:
         raise InvalidParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
-    workers = max(int(workers), 1) if workers is not None else max(os.cpu_count() or 1, 1)
     monolithic = min(estimate_costs(n, d, missing_rate, k).values())
 
     budget = None if memory_budget is None else max(int(memory_budget), 1)
@@ -775,19 +761,17 @@ def plan_partitioned(
         ladder = [max(int(partitions), 1)]
     elif forced_budget is not None:
         per_shard_target = max(forced_budget // 8, 1)
-        p = max(workers, 2)
+        p = 2
         while p < n and _bitset_table_bytes(math.ceil(n / p), d) > per_shard_target:
             p *= 2
         ladder = [min(p, n)]
     else:
-        ladder = sorted({workers, 2 * workers, 4}) if workers > 1 else [4]
+        ladder = list(_PARTITION_LADDER)
     best_p: int | None = None
     best: dict[str, float] | None = None
     for p in ladder:
         p = min(max(p, 1), n)
-        costs = estimate_partition_costs(
-            n, d, missing_rate, k, partitions=p, workers=workers
-        )
+        costs = estimate_partition_costs(n, d, missing_rate, k, partitions=p)
         if best is None or costs["total"] < best["total"]:
             best_p, best = p, costs
     assert best_p is not None and best is not None  # ladder is never empty
@@ -811,7 +795,6 @@ def plan_partitioned(
     return PartitionPlan(
         action=action,
         partitions=best_p,
-        workers=min(workers, best_p),
         estimated_seconds=best["total"],
         monolithic_seconds=monolithic,
         survival=best["survival"],

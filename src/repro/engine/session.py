@@ -576,9 +576,9 @@ _pool_lock = make_lock("pool", reentrant=False)
 def _process_pool(workers: int) -> ProcessPoolExecutor:
     """The lazily built process pool shared by every parallel route.
 
-    One pool serves repeated :meth:`QueryEngine.query_many` sweeps *and*
-    cold partitioned phase-1 fan-outs across calls, so worker spawn +
-    import cost is paid once per process instead of once per batch.
+    One pool serves repeated :meth:`QueryEngine.query_many` sweeps
+    across calls, so worker spawn + import cost is paid once per process
+    instead of once per batch.
     Size-capped; a request larger than the current pool grows it
     (recreate), a broken pool is replaced transparently.
     """
@@ -1126,8 +1126,10 @@ class QueryEngine:
         only phase-1 survivors are exchanged.
         ``partitions="auto"`` lets :func:`~repro.engine.planner.plan_partitioned`
         price the protocol against the best monolithic algorithm first.
-        ``workers=N`` fans the shards out over a process pool (requires
-        ``partitions``; in-process otherwise).
+        ``workers=N`` is still accepted with ``partitions`` (and
+        rejected without it) but no longer changes partitioned execution:
+        both phases run in this process, so each shard's tables are
+        built once. Batches shard over processes with :meth:`query_many`.
 
         Under ``tie_break="index"`` every route returns the same canonical
         answer, so the result cache (and the :attr:`store`, when set) holds
@@ -1163,7 +1165,6 @@ class QueryEngine:
                 rng=rng,
                 repeats=repeats,
                 partitions=partitions,
-                workers=workers,
                 **options,
             )
 
@@ -1207,9 +1208,11 @@ class QueryEngine:
         **options,
     ):
         """Compute one answer the result cache did not hold, and remember
-        it under *key* (``None`` for uncacheable tie-breaks)."""
+        it under *key* (``None`` for uncacheable tie-breaks). *workers*
+        (a :meth:`query_many` request option) was validated by
+        :meth:`_check_route` and does not change the route."""
         if partitions is not None:
-            partitions = self._resolve_partitions(dataset, k, partitions, workers)
+            partitions = self._resolve_partitions(dataset, k, partitions)
         if partitions is None:
             result, elapsed = self._query_monolithic(
                 dataset,
@@ -1227,7 +1230,6 @@ class QueryEngine:
                 k,
                 root,
                 partitions=partitions,
-                workers=workers,
                 tie_break=tie_break,
                 rng=rng,
             )
@@ -1338,7 +1340,7 @@ class QueryEngine:
             with telemetry.trace("store.write"):
                 self._store.put_result(**item)
 
-    def _resolve_partitions(self, dataset, k: int, partitions, workers):
+    def _resolve_partitions(self, dataset, k: int, partitions):
         """The shard count of a ``query(partitions=...)`` call, or ``None``
         when ``partitions="auto"`` prices the monolithic route cheaper.
         """
@@ -1351,17 +1353,12 @@ class QueryEngine:
             dataset.d,
             dataset.missing_rate,
             k,
-            workers=workers,
             memory_budget=self.memory_budget,
         )
-        # The plan may have priced a pool, but a pool is never spawned
-        # unless the caller asked for one: "in-process otherwise" holds for
-        # "auto" too (and keeps this safe to call from daemonic workers
-        # that cannot fork children).
         return plan.partitions if plan.action == "partition" else None
 
     def _execute_partitioned(
-        self, dataset, k: int, root, *, partitions, workers, tie_break, rng
+        self, dataset, k: int, root, *, partitions, tie_break, rng
     ):
         """The partitioned :meth:`query` route: ``(result, seconds)``.
 
@@ -1375,8 +1372,6 @@ class QueryEngine:
         from .partition import PartitionedDataset, execute_partitioned
 
         root.set("route", "partitioned")
-        if workers is not None:
-            root.set("workers", int(workers))
         with self._lock:
             self.stats.partitioned_queries += 1
         fingerprint = self.fingerprint(dataset)
@@ -1424,7 +1419,6 @@ class QueryEngine:
             view,
             k,
             engine=self,
-            workers=workers,
             tie_break=tie_break,
             rng=rng,
             memory_budget=self.memory_budget if spill_store is not None else None,

@@ -1,10 +1,9 @@
 """Engine-wide telemetry: hierarchical spans, metrics, exporters.
 
-The engine spans six layers, three process boundaries (the ``query_many``
-pool, the partition phase-1 workers, spill I/O) and a native
-threaded C kernel library — and until this module the only visibility
-was counters read after the fact. Telemetry answers "where did this
-query spend its time?" on any production query:
+The engine spans six layers, two process boundaries (the ``query_many``
+pool, spill I/O) and a native C kernel library — and until this module
+the only visibility was counters read after the fact. Telemetry answers
+"where did this query spend its time?" on any production query:
 
 * **Spans** — :func:`trace` opens one node of a wall/CPU-timed tree::
 

@@ -278,6 +278,16 @@ class TestPartitionsFlag:
         assert code == 0
         assert "partition plan:" in out
 
+    def test_partitions_with_workers_prints_no_worker_count(self, sample_csv, capsys):
+        # Partitioned queries run in process: --workers is accepted there
+        # but neither the plan nor the answer line reports a worker count.
+        code = main(["query", str(sample_csv), "--k", "2", "--id-column", "id",
+                     "--partitions", "2", "--workers", "2", "--explain"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "partition plan:" in out and "partitions=2" in out
+        assert "W=" not in out and "workers=" not in out
+
     def test_partitions_rejects_garbage(self, sample_csv, capsys):
         code = main(["query", str(sample_csv), "--k", "1", "--id-column", "id",
                      "--partitions", "lots"])

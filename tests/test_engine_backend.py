@@ -458,7 +458,7 @@ class TestSharedTables:
         shutdown_pool()
 
     def test_partitioned_query_cleans_up_segments(self, make_incomplete):
-        """Phase-1 workers export for the parent; the parent unlinks."""
+        """A partitioned query accepts workers=2 and leaves no segment."""
         ds = make_incomplete(900, 4, missing_rate=0.25, seed=12)
         engine = QueryEngine(dataset_cache=PreparedDatasetCache())
         sequential = engine.query(ds, 8, partitions=3).ids

@@ -552,7 +552,33 @@ class TestWorkersAndAuto:
         got = engine.query(ds, 8, partitions=3, workers=2)
         want = naive_tkd(ds, 8)
         assert got.indices == want.indices and got.scores == want.scores
-        assert got.stats.extra["workers"] == 2
+
+    def test_cold_query_builds_each_shard_once_in_process(self):
+        """``workers=N`` spawns nothing: phase 1 builds every shard's
+        tables in the caller, and phase 2 reuses them."""
+        import multiprocessing
+        import os
+
+        from repro.engine import session as session_module
+
+        session_module.shutdown_pool()
+        ds = random_dataset(2400, seed=27, missing=0.3)  # 600-row shards build tables
+        was = telemetry.enabled()
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        try:
+            got = fresh_engine().query(ds, 10, partitions=4, workers=2)
+            spans = telemetry.collected_spans()
+        finally:
+            telemetry.set_enabled(was)
+            telemetry.reset()
+        want = naive_tkd(ds, 10)
+        assert got.indices == want.indices and got.scores == want.scores
+        assert multiprocessing.active_children() == []
+        assert session_module._pool is None
+        builds = [s for s in spans if s["name"] == "kernel.build_tables"]
+        assert len(builds) == 4
+        assert {s["pid"] for s in builds} == {os.getpid()}
 
     def test_workers_without_partitions_rejected(self):
         ds = random_dataset(20, seed=23)
@@ -599,17 +625,26 @@ class TestWorkersAndAuto:
 
 class TestPartitionPlanner:
     def test_tiny_datasets_stay_monolithic(self):
-        plan = plan_partitioned(100, 4, 0.1, 5, workers=4)
+        plan = plan_partitioned(100, 4, 0.1, 5)
         assert plan.action == "monolithic"
 
-    def test_loose_bound_regimes_partition(self):
-        # High missingness floods the monolithic pruning family (the
-        # paper's own MovieLens story) — exactly where sharding pays.
-        plan = plan_partitioned(50_000, 4, 0.6, 200, workers=8)
-        assert plan.action == "partition"
-        assert plan.partitions >= 2
-        assert plan.estimated_seconds < plan.monolithic_seconds
-        assert "partition plan" in plan.summary()
+    def test_unforced_plan_takes_cheapest_ladder_point(self):
+        # Unforced, the plan prices every ladder shard count in process
+        # and keeps the cheapest; it partitions exactly when that beats
+        # the best monolithic algorithm.
+        from repro.engine.planner import _PARTITION_LADDER
+
+        plan = plan_partitioned(50_000, 4, 0.6, 200)
+        totals = {
+            p: estimate_partition_costs(50_000, 4, 0.6, 200, partitions=p)["total"]
+            for p in _PARTITION_LADDER
+        }
+        assert plan.partitions == min(totals, key=totals.get)
+        assert plan.estimated_seconds == totals[plan.partitions]
+        assert (plan.action == "partition") == (
+            plan.estimated_seconds < plan.monolithic_seconds
+        )
+        assert "partition plan" in plan.summary() and "W=" not in plan.summary()
 
     def test_survival_estimate_monotonic(self):
         base = estimate_survival(10_000, 10, 0.1, 4)
@@ -619,8 +654,8 @@ class TestPartitionPlanner:
         assert 0.0 < base <= 1.0
 
     def test_estimate_costs_fields(self):
-        costs = estimate_partition_costs(20_000, 4, 0.1, 10, partitions=4, workers=4)
-        assert set(costs) == {"total", "phase1", "phase2", "survival", "spawn"}
+        costs = estimate_partition_costs(20_000, 4, 0.1, 10, partitions=4)
+        assert set(costs) == {"total", "phase1", "phase2", "survival"}
         assert costs["total"] > 0
         with pytest.raises(InvalidParameterError):
             estimate_partition_costs(1000, 4, 0.1, 5, partitions=0)

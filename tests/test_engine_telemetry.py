@@ -296,12 +296,36 @@ def test_traced_monolithic_query_builds_a_tree(make_incomplete):
     assert telemetry.metrics().counter_value("engine.queries") >= 1
 
 
-def test_cross_process_spilled_trace_is_one_connected_tree(make_incomplete):
-    """The acceptance scenario: partitions=4, workers=2, spill forced on.
+def _assert_one_connected_tree(spans):
+    """One root, no orphans, one trace id, and every span reaches the root.
 
-    Every span from every worker process must re-parent into the
-    coordinator's single trace tree (no orphans, no second root), and
-    tracing must not change the answer.
+    Returns the root record.
+    """
+    by_id = {r["span"]: r for r in spans}
+    roots = [r for r in spans if r["parent"] is None]
+    orphans = [r for r in spans if r["parent"] is not None and r["parent"] not in by_id]
+    assert len(roots) == 1, f"expected one root, got {[r['name'] for r in roots]}"
+    assert not orphans, f"orphan spans: {[r['name'] for r in orphans]}"
+    assert len({r["trace"] for r in spans}) == 1  # one coherent trace
+
+    def root_of(record):
+        seen = set()
+        while record["parent"] is not None:
+            assert record["span"] not in seen
+            seen.add(record["span"])
+            record = by_id[record["parent"]]
+        return record["span"]
+
+    assert {root_of(r) for r in spans} == {roots[0]["span"]}
+    return roots[0]
+
+
+def test_spilled_partitioned_trace_is_one_connected_tree(make_incomplete):
+    """partitions=4, workers=2, spill forced on: one process, one tree.
+
+    Phase 1 builds and spills every shard in the coordinator, phase 2
+    attaches the spill files there, and tracing must not change the
+    answer.
     """
     dataset = make_incomplete(1200, 4, seed=23)
     budget = PartitionedDataset(dataset, 4).table_bytes() // 4
@@ -319,33 +343,19 @@ def test_cross_process_spilled_trace_is_one_connected_tree(make_incomplete):
     assert result.ids == baseline.ids
     assert result.scores == baseline.scores
 
-    by_id = {r["span"]: r for r in spans}
-    roots = [r for r in spans if r["parent"] is None]
-    orphans = [r for r in spans if r["parent"] is not None and r["parent"] not in by_id]
-    assert len(roots) == 1, f"expected one root, got {[r['name'] for r in roots]}"
-    assert not orphans, f"orphan spans: {[r['name'] for r in orphans]}"
-    assert len({r["trace"] for r in spans}) == 1  # one coherent trace
-
-    # Spans came back from more than one process.
-    pids = {r["pid"] for r in spans}
-    assert len(pids) >= 2, f"expected worker pids in the trace, got {pids}"
-    worker_spans = [r for r in spans if r["name"] == "partition.phase1.shard"]
-    assert worker_spans and any(r["pid"] != roots[0]["pid"] for r in worker_spans)
-    assert all(r["attrs"].get("spill") for r in worker_spans)
-
-    # Every tree edge reaches the root: the tree is connected.
-    def root_of(record):
-        seen = set()
-        while record["parent"] is not None:
-            assert record["span"] not in seen
-            seen.add(record["span"])
-            record = by_id[record["parent"]]
-        return record["span"]
-
-    assert {root_of(r) for r in spans} == {roots[0]["span"]}
+    root = _assert_one_connected_tree(spans)
+    assert {r["pid"] for r in spans} == {root["pid"]}
+    shard_spans = [r for r in spans if r["name"] == "partition.phase1.shard"]
+    assert len(shard_spans) == 4
+    assert all(r["attrs"].get("spill") is True for r in shard_spans)
+    assert any(r["name"] == "spill.attach" for r in spans)
 
 
 def test_query_many_worker_spans_join_the_batch_trace(make_incomplete):
+    """Every span from every pool worker re-parents into the batch's
+    single trace tree (no orphans, no second root). The batch's planning
+    spans open before the batch span, so the tree is read from the
+    batch's own trace."""
     dataset = make_incomplete(300, 3, seed=7)
     telemetry.set_enabled(True)
     engine = QueryEngine()
@@ -353,11 +363,13 @@ def test_query_many_worker_spans_join_the_batch_trace(make_incomplete):
     telemetry.set_enabled(False)
     spans = telemetry.drain_spans()
 
-    by_id = {r["span"]: r for r in spans}
     batch = [r for r in spans if r["name"] == "engine.query_many"]
     assert len(batch) == 1
-    orphans = [r for r in spans if r["parent"] is not None and r["parent"] not in by_id]
-    assert not orphans
+    spans = [r for r in spans if r["trace"] == batch[0]["trace"]]
+    assert _assert_one_connected_tree(spans) is batch[0]
+    # Spans came back from more than one process.
+    pids = {r["pid"] for r in spans}
+    assert len(pids) >= 2, f"expected worker pids in the trace, got {pids}"
     shard_queries = [
         r for r in spans
         if r["name"] == "engine.query" and r["parent"] == batch[0]["span"]
