@@ -366,6 +366,14 @@ class IncompleteDataset:
         except KeyError:
             raise InvalidParameterError(f"unknown object id {object_id!r}") from None
 
+    def ids_at(self, rows) -> list[str]:
+        """The labels of *rows* (row indices), in order.
+
+        Costs ``O(len(rows))``: unlike :attr:`ids` it copies no other label.
+        """
+        ids = self._ids
+        return [ids[i] for i in np.asarray(rows, dtype=np.intp).tolist()]
+
     def iset(self, index: int) -> tuple[int, ...]:
         """``Iset(o)``: observed dimension indices of object *index* (paper, Table 1)."""
         return tuple(int(j) for j in np.flatnonzero(self._observed[index]))

@@ -40,7 +40,6 @@ from ..errors import (
     InvalidParameterError,
 )
 from .dataset import IncompleteDataset
-from .result import select_top_k, validate_k
 
 __all__ = ["StreamingTKD"]
 
@@ -158,13 +157,7 @@ class StreamingTKD:
         """Current TKD answer as ``(id, score)`` pairs, best first."""
         if self._live is None:
             return []
-        if tie_break == "index":
-            return self._live.top_k(k)
-        scores = self._live.scores
-        k = validate_k(k, self._live.n)
-        selection = select_top_k(scores, k, tie_break=tie_break, rng=rng)
-        ids = self._live.ids
-        return [(ids[i], int(scores[i])) for i in selection]
+        return self._live.top_k(k, tie_break=tie_break, rng=rng)
 
     def score_of(self, object_id: str) -> int:
         """Maintained ``score`` of one live object."""

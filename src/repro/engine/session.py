@@ -1052,17 +1052,20 @@ class QueryEngine:
         otherwise — after which every delta keeps it current. Treat the
         returned array as read-only.
         """
-        fingerprint = self.fingerprint(dataset)
-        with self._lock:
-            cached = self._scores.get(fingerprint, _MISSING)
-        if cached is not _MISSING and len(cached) == dataset.n:
-            return cached
-        prepared = self.prepare_dataset(dataset)
-        prepared.warm()
-        computed = dominated_counts(dataset, prepared=prepared).astype(np.int64, copy=False)
-        with self._lock:
-            self._scores.put(fingerprint, computed)
-        return computed
+        with telemetry.trace("engine.scores") as span:
+            fingerprint = self.fingerprint(dataset)
+            with self._lock:
+                cached = self._scores.get(fingerprint, _MISSING)
+            if cached is not _MISSING and len(cached) == dataset.n:
+                span.set("cached", True)
+                return cached
+            span.set("cached", False).set("n", dataset.n)
+            prepared = self.prepare_dataset(dataset)
+            prepared.warm()
+            computed = dominated_counts(dataset, prepared=prepared).astype(np.int64, copy=False)
+            with self._lock:
+                self._scores.put(fingerprint, computed)
+            return computed
 
     def _adopt_scores(self, fingerprint: str, scores: np.ndarray) -> None:
         """Register a maintained score vector (ContinuousQuery hand-off)."""
@@ -1494,57 +1497,59 @@ class QueryEngine:
         """
         if workers is not None and int(workers) < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        materialised = [self._coerce_request(req, algorithm) for req in requests]
-        repeats = max(len(materialised), 1)
-        results: list = [None] * len(materialised)
-        keys: list[tuple | None] = [None] * len(materialised)
-        resolved = []
-        for position, (dataset, k, request_algorithm, request_options) in enumerate(
-            materialised
-        ):
-            options = {**common_options, **request_options}
-            with self._lock:
-                self.stats.queries += 1
-            if options.get("tie_break", "index") == "index":
-                # One answer per (fingerprint, k) whatever the route, so a
-                # request the cache already answers is neither planned nor
-                # executed (nor shipped to a worker).
-                keys[position] = self._result_key(dataset, k)
-                results[position] = self._cached_result(keys[position])
-            if results[position] is None and request_algorithm.lower() == "auto":
-                request_algorithm, options = self._apply_plan(
-                    self.plan(dataset, k, repeats=repeats), options
-                )
-            resolved.append((dataset, k, request_algorithm, options))
-        pending = [position for position, result in enumerate(results) if result is None]
-
-        if workers is None or int(workers) <= 1 or len(resolved) <= 1:
-            # Buffer store writes so the whole batch lands in one
-            # lock + atomic rewrite instead of one per computed answer.
-            with self._batched_store_writes():
-                for position in pending:
-                    dataset, k, request_algorithm, options = resolved[position]
-                    key = keys[position]
-                    if key is not None:
-                        # An earlier request of this batch may have
-                        # computed the same (fingerprint, k) answer.
-                        with self._lock:
-                            results[position] = self._results.get(key)
-                        if results[position] is not None:
-                            continue
-                    self._check_route(
-                        request_algorithm, options.get("partitions"), options.get("workers")
+        with telemetry.trace("engine.query_many") as span:
+            materialised = [self._coerce_request(req, algorithm) for req in requests]
+            span.set("requests", len(materialised))
+            repeats = max(len(materialised), 1)
+            results: list = [None] * len(materialised)
+            keys: list[tuple | None] = [None] * len(materialised)
+            resolved = []
+            for position, (dataset, k, request_algorithm, request_options) in enumerate(
+                materialised
+            ):
+                options = {**common_options, **request_options}
+                with self._lock:
+                    self.stats.queries += 1
+                if options.get("tie_break", "index") == "index":
+                    # One answer per (fingerprint, k) whatever the route, so a
+                    # request the cache already answers is neither planned nor
+                    # executed (nor shipped to a worker).
+                    keys[position] = self._result_key(dataset, k)
+                    results[position] = self._cached_result(keys[position])
+                if results[position] is None and request_algorithm.lower() == "auto":
+                    request_algorithm, options = self._apply_plan(
+                        self.plan(dataset, k, repeats=repeats), options
                     )
-                    with telemetry.trace("engine.query") as root:
-                        root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
-                        results[position] = self._answer(
-                            dataset, k, key, root, algorithm=request_algorithm, **options
+                resolved.append((dataset, k, request_algorithm, options))
+            pending = [position for position, result in enumerate(results) if result is None]
+
+            if workers is None or int(workers) <= 1 or len(resolved) <= 1:
+                # Buffer store writes so the whole batch lands in one
+                # lock + atomic rewrite instead of one per computed answer.
+                with self._batched_store_writes():
+                    for position in pending:
+                        dataset, k, request_algorithm, options = resolved[position]
+                        key = keys[position]
+                        if key is not None:
+                            # An earlier request of this batch may have
+                            # computed the same (fingerprint, k) answer.
+                            with self._lock:
+                                results[position] = self._results.get(key)
+                            if results[position] is not None:
+                                continue
+                        self._check_route(
+                            request_algorithm, options.get("partitions"), options.get("workers")
                         )
-        else:
-            self._query_many_parallel(resolved, pending, keys, results, int(workers))
-        # A batch is a natural persistence point: the planner biases the
-        # sweep just refined should survive into the next process.
-        self.flush()
+                        with telemetry.trace("engine.query") as root:
+                            root.set("n", dataset.n).set("d", dataset.d).set("k", int(k))
+                            results[position] = self._answer(
+                                dataset, k, key, root, algorithm=request_algorithm, **options
+                            )
+            else:
+                self._query_many_parallel(resolved, pending, keys, results, int(workers), span)
+            # A batch is a natural persistence point: the planner biases the
+            # sweep just refined should survive into the next process.
+            self.flush()
         return results
 
     @contextmanager
@@ -1567,7 +1572,7 @@ class QueryEngine:
                     self._store.put_results(pending)
 
     def _query_many_parallel(
-        self, resolved: list, pending: list[int], keys: list, results: list, workers: int
+        self, resolved: list, pending: list[int], keys: list, results: list, workers: int, span
     ) -> None:
         """Answer the *pending* positions of *resolved* on a process pool,
         filling *results* in place and merging the answers into the
@@ -1609,43 +1614,42 @@ class QueryEngine:
                     # workers fall back to rebuilding from the pickle.
                     break
             shm_metas = {fp: handle.meta for fp, handle in handles.items()}
-            with telemetry.trace("engine.query_many") as span:
-                span.set("requests", len(pending)).set("shards", len(shards))
-                payloads = [
-                    (
-                        [resolved[position] for position in shard],
-                        store_dir,
-                        shm_metas or None,
-                        telemetry.propagation_context(),
-                    )
-                    for shard in shards
-                ]
-                pool = _process_pool(len(shards))
-                try:
-                    for shard, (answers, worker_stats, worker_spans) in zip(
-                        shards, pool.map(_answer_shard, payloads)
-                    ):
-                        telemetry.absorb_spans(worker_spans)
-                        # The parent already counted these queries/misses (and
-                        # probed the store itself); keep only the work counters
-                        # the workers actually added, e.g. their store writes.
-                        worker_stats.queries = 0
-                        worker_stats.result_hits = 0
-                        worker_stats.result_misses = 0
-                        worker_stats.store_hits = 0
-                        worker_stats.store_misses = 0
-                        with self._lock:
-                            self.stats.merge(worker_stats)
-                            for position, answer in zip(shard, answers):
-                                results[position] = answer
-                                if keys[position] is not None:
-                                    self.stats.evictions += self._results.put(
-                                        keys[position], answer
-                                    )
-                finally:
-                    for handle in handles.values():
-                        handle.close()
-                        handle.unlink()
+            span.set("shards", len(shards))
+            payloads = [
+                (
+                    [resolved[position] for position in shard],
+                    store_dir,
+                    shm_metas or None,
+                    telemetry.propagation_context(),
+                )
+                for shard in shards
+            ]
+            pool = _process_pool(len(shards))
+            try:
+                for shard, (answers, worker_stats, worker_spans) in zip(
+                    shards, pool.map(_answer_shard, payloads)
+                ):
+                    telemetry.absorb_spans(worker_spans)
+                    # The parent already counted these queries/misses (and
+                    # probed the store itself); keep only the work counters
+                    # the workers actually added, e.g. their store writes.
+                    worker_stats.queries = 0
+                    worker_stats.result_hits = 0
+                    worker_stats.result_misses = 0
+                    worker_stats.store_hits = 0
+                    worker_stats.store_misses = 0
+                    with self._lock:
+                        self.stats.merge(worker_stats)
+                        for position, answer in zip(shard, answers):
+                            results[position] = answer
+                            if keys[position] is not None:
+                                self.stats.evictions += self._results.put(
+                                    keys[position], answer
+                                )
+            finally:
+                for handle in handles.values():
+                    handle.close()
+                    handle.unlink()
 
     @staticmethod
     def _coerce_request(request, default_algorithm: str):
@@ -1796,12 +1800,15 @@ class ContinuousQuery:
     (affected objects only); the cached top-``k`` selection is kept when
     the delta provably cannot move the k-th boundary — every changed
     non-member stayed strictly below it and no member lost score — and
-    recomputed exactly from the maintained vector otherwise.
+    recomputed exactly from the maintained vector otherwise. A read
+    whose selection survived costs ``O(k + changed rows)``: no hash or
+    sort over the changed rows, and only the selected rows are mapped to
+    ids.
 
     Many answer sizes can watch one stream: :meth:`subscribe` registers
     additional k values, all sharing the per-delta dominator-mask work,
-    and :meth:`results` serves every subscription with at most one
-    full-order sort.
+    and :meth:`results` selects only the largest subscribed k and slices
+    every smaller answer from that prefix.
     """
 
     def __init__(self, engine: QueryEngine, dataset, *, k: int | None = None) -> None:
@@ -1882,9 +1889,9 @@ class ContinuousQuery:
 
         with telemetry.trace("continuous.insert"):
             delta = DatasetDelta.inserting(self._dataset, rows, ids=ids)
-            before = self._dataset.n
             self._apply(delta)
-            return self._dataset.ids[before:]
+            n = self._dataset.n  # inserted rows are appended, in order
+            return self._dataset.ids_at(range(n - delta.inserted_values.shape[0], n))
 
     def delete(self, ids: Sequence[str]) -> None:
         """Delete a batch of objects by id."""
@@ -1961,9 +1968,9 @@ class ContinuousQuery:
         Many dashboards over one stream ask for different answer sizes;
         subscribed k values share everything below the selection — one
         maintained score vector (the per-delta dominator-mask work is
-        paid once regardless of how many k's are live), one boundary
-        check per k per delta, and one full-order sort whenever any of
-        them needs an exact re-rank (:meth:`results`).
+        paid once regardless of how many k's are live) — and
+        :meth:`results` serves them all from one selection at the largest
+        k: one boundary check per read, and at most one exact re-rank.
         """
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
             raise InvalidParameterError(f"subscription k must be a positive integer, got {k!r}")
@@ -1990,68 +1997,112 @@ class ContinuousQuery:
         score, no row indices shifted), the membership provably cannot
         have changed and only the ordering is refreshed; anything
         uncertain falls back to one exact selection over the maintained
-        vector.
+        vector. A read costs ``O(k + changed rows)``: only the selected
+        rows are mapped to ids.
         """
+        with telemetry.trace("continuous.read") as span:
+            return self._pairs(self._top_rows(k, span, tie_break=tie_break, rng=rng))
+
+    def results(self, *, tie_break: str = "index", rng=None) -> dict[int, list]:
+        """Current answers for every subscribed k, as ``{k: pairs}``.
+
+        The multi-k batch read: the canonical top-k is a prefix of the
+        canonical top-K, so only the largest subscribed K is selected
+        (from its cached selection when that survived the boundary check,
+        else by one exact re-rank) and mapped to ``(id, score)`` pairs;
+        every smaller k gets its own list sliced from that prefix. The
+        read costs ``O(K + changed rows)``, and each returned list is
+        independent of the others and of later reads.
+        """
+        from ..core.result import validate_k
+
+        with telemetry.trace("continuous.read") as span:
+            ks = self.subscriptions or ((self._k if self._k is not None else 10),)
+            if tie_break != "index":
+                return {
+                    k: self._pairs(self._top_rows(k, span, tie_break=tie_break, rng=rng))
+                    for k in ks
+                }
+            valid = [validate_k(k, self._dataset.n) for k in ks]
+            top = max(valid)
+            pairs = self._pairs(self._select_rows(top, span, prefixes=valid))
+            return {k: pairs[:kk] for k, kk in zip(ks, valid)}
+
+    def result(self, k: int | None = None):
+        """The current answer as a :class:`~repro.core.result.TKDResult`."""
+        from ..core.result import TKDResult
+        from ..core.stats import QueryStats
+
+        with telemetry.trace("continuous.read") as span:
+            rows = self._top_rows(k, span)
+            validated = max(rows.size, 1)
+            return TKDResult(
+                indices=rows.tolist(),
+                scores=self._scores[rows].tolist(),
+                ids=self._dataset.ids_at(rows),
+                k=validated,
+                algorithm="incremental",
+                stats=QueryStats(
+                    algorithm="incremental", n=self._dataset.n, d=self._dataset.d, k=validated
+                ),
+            )
+
+    def _pairs(self, rows: np.ndarray) -> list[tuple[str, int]]:
+        """``(id, score)`` for the given rows only (no copy of every id)."""
+        return list(zip(self._dataset.ids_at(rows), self._scores[rows].tolist()))
+
+    def _top_rows(self, k: int | None, span, *, tie_break: str = "index", rng=None) -> np.ndarray:
+        """The top-``k`` rows, best first (``k=None``: this view's k, else 10)."""
         from ..core.result import select_top_k, validate_k
 
         if k is None:
             k = self._k if self._k is not None else 10
         k = validate_k(k, self._dataset.n)
-        scores, ids = self._scores, self._dataset.ids
         if tie_break != "index":
-            selection = select_top_k(scores, k, tie_break=tie_break, rng=rng)
-            return [(ids[i], int(scores[i])) for i in selection]
-        rows, _order = self._select_rows(k, None, k)
-        return [(ids[i], int(scores[i])) for i in rows]
+            span.set("k", k)
+            selection = select_top_k(self._scores, k, tie_break=tie_break, rng=rng)
+            return np.asarray(selection, dtype=np.intp)
+        return self._select_rows(k, span)
 
-    def results(self, *, tie_break: str = "index", rng=None) -> dict[int, list]:
-        """Current answers for every subscribed k, as ``{k: pairs}``.
+    def _select_rows(self, k: int, span, *, prefixes=()) -> np.ndarray:
+        """The canonical top-``k`` rows (``k`` validated), best first.
 
-        The multi-k batch read: subscribed k values whose cached
-        selections survived the boundary checks are served in ``O(k)``,
-        and the ones that did not share a *single* partial selection at
-        the largest subscribed k — k answers for one re-rank.
-        """
-        from ..core.result import validate_k
-
-        ks = self.subscriptions or ((self._k if self._k is not None else 10),)
-        if tie_break != "index":
-            return {int(k): self.top_k(int(k), tie_break=tie_break, rng=rng) for k in ks}
-        out: dict[int, list] = {}
-        order = None
-        ids, scores = self._dataset.ids, self._scores
-        valid = [validate_k(int(k), self._dataset.n) for k in ks]
-        for k, kk in zip(ks, valid):
-            rows, order = self._select_rows(kk, order, max(valid))
-            out[int(k)] = [(ids[i], int(scores[i])) for i in rows]
-        return out
-
-    def _select_rows(self, k: int, order: np.ndarray | None, top: int):
-        """The (validated) top-``k`` rows, via cache or a shared selection.
-
-        *order* is the canonical top-*top* selection (``top ≥ k``) when an
-        earlier k of the same batch computed it; returns ``(rows, order)``
-        so a batch over several k values pays for at most one selection.
+        Served from the cached selection when no write since could have
+        moved it (only the in-set order is refreshed), else from one exact
+        selection over the maintained vector. The answer is cached for
+        ``k`` and, as its prefix, for every k in *prefixes*.
         """
         from ..core.result import select_top_k
 
         scores = self._scores
         entry = self._selections.get(k)
-        if entry is not None and self._entry_safe(entry):
+        cached = entry is not None and self._entry_safe(entry)
+        if cached:
             rows = entry[0]
+            rows = rows[np.lexsort((rows, -scores[rows]))]  # refresh in-set order
         else:
-            if order is None:
-                order = np.asarray(select_top_k(scores, top), dtype=np.intp)
-            rows = order[:k]
-        rows = rows[np.lexsort((rows, -scores[rows]))]  # refresh in-set order
-        boundary = int(scores[rows].min()) if rows.size else 0
-        self._selections[k] = (rows, boundary, self._events_base + len(self._events))
+            rows = np.asarray(select_top_k(scores, k), dtype=np.intp)
+        span.set("k", k).set("cached", cached)
+        seen = self._events_base + len(self._events)
+        for kk in {k, *prefixes}:
+            head = rows[:kk]
+            # Canonical order is score-descending: the last row holds the boundary.
+            self._selections[kk] = (head, int(scores[head[-1]]), seen)
         self._prune_selections()
         self._trim_events()
-        return rows, order
+        return rows
 
     def _entry_safe(self, entry: tuple) -> bool:
-        """True iff no delta since *entry* was cached could move its top-k."""
+        """True iff no delta since *entry* was cached could move its top-k.
+
+        ``O(k + changed rows)``, and duplicate changed rows are harmless:
+        a changed row landing *on* the boundary is unsafe on either side
+        of it (a member that dropped there could lose an index tie-break
+        against an excluded row already there; an excluded row that
+        reached it could win one), a changed row above it must be a
+        member, and a member below it must have changed (it sat at or
+        above the boundary when cached), so it lost score.
+        """
         rows, boundary, seen = entry
         start = seen - self._events_base
         if start < 0:
@@ -2062,21 +2113,16 @@ class ContinuousQuery:
         if any(event is None for event in recent):
             return False  # a delete shifted row indices
         scores = self._scores
-        if rows.size == 0 or rows.max() >= scores.size:
+        if rows.max() >= scores.size or int(scores[rows].min()) < boundary:
             return False
-        changed = np.unique(np.concatenate(recent))
-        members = np.zeros(scores.size, dtype=bool)
-        members[rows] = True
-        changed_members = changed[members[changed]]
-        changed_others = changed[~members[changed]]
-        if changed_others.size and int(scores[changed_others].max()) >= boundary:
+        changed = recent[0] if len(recent) == 1 else np.concatenate(recent)
+        values = scores[changed]
+        if (values == boundary).any():
             return False
-        # A member that *dropped to* the boundary could lose an index
-        # tie-break against an excluded row already sitting there, so only
-        # strictly-above changes are provably safe.
-        if changed_members.size and int(scores[changed_members].min()) <= boundary:
-            return False
-        return True
+        above = changed[values > boundary]
+        members = np.sort(rows)  # k rows: a binary search, not a hash over changed
+        slots = np.minimum(np.searchsorted(members, above), members.size - 1)
+        return bool((members[slots] == above).all())
 
     def _prune_selections(self) -> None:
         """Bound the cache: unsubscribed one-off k's yield first."""
@@ -2098,25 +2144,6 @@ class ContinuousQuery:
         if drop > 0:
             del self._events[:drop]
             self._events_base = min_seen
-
-    def result(self, k: int | None = None):
-        """The current answer as a :class:`~repro.core.result.TKDResult`."""
-        from ..core.result import TKDResult
-        from ..core.stats import QueryStats
-
-        pairs = self.top_k(k)
-        validated = max(len(pairs), 1)
-        indices = [self._dataset.index_of(object_id) for object_id, _ in pairs]
-        return TKDResult(
-            indices=indices,
-            scores=[score for _, score in pairs],
-            ids=[object_id for object_id, _ in pairs],
-            k=validated,
-            algorithm="incremental",
-            stats=QueryStats(
-                algorithm="incremental", n=self._dataset.n, d=self._dataset.d, k=validated
-            ),
-        )
 
 
 def _answer_shard(payload: tuple) -> tuple[list, EngineStats, list]:

@@ -305,19 +305,6 @@ class SpilledTables:
         self.nbytes = int(nbytes)
         self._mapped = None
 
-    def meta(self) -> dict:
-        """Picklable attach recipe (what pool workers receive)."""
-        return {
-            "kind": "spill",
-            "file": str(self.path),
-            "layout": [list(row) for row in self.layout],
-            "bytes": self.nbytes,
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "SpilledTables":
-        return cls(meta["file"], meta["layout"], nbytes=int(meta.get("bytes") or 0))
-
     def arrays(self) -> dict:
         """Zero-copy (read-only) views over the mapped spill file."""
         import numpy as np

@@ -581,6 +581,120 @@ class TestMultiKSubscriptions:
         assert tuple(sorted((s for _, s in results[5]), reverse=True)) == want
 
 
+class TestMaintainedReads:
+    """``ContinuousQuery`` reads against a cold ``score_all`` + lexsort
+    oracle, on the cached path (membership proved unchanged) and the
+    exact fallback alike."""
+
+    @staticmethod
+    def _oracle(dataset, k):
+        scores = score_all(dataset)
+        order = np.lexsort((np.arange(scores.size), -scores))[:k]
+        return [(dataset.ids[i], int(scores[i])) for i in order]
+
+    @staticmethod
+    def _count_selections(monkeypatch) -> list:
+        """Count exact re-ranks: every read that is not one hit the cache."""
+        from repro.core import result
+
+        calls: list = []
+        original = result.select_top_k
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(result, "select_top_k", counted)
+        return calls
+
+    def test_duplicate_changed_rows_between_reads(self, monkeypatch):
+        engine = QueryEngine(dataset_cache=PreparedDatasetCache())
+        live = engine.continuous(random_dataset(150, seed=70), k=4)
+        live.subscribe(12)
+        live.results()
+        selections = self._count_selections(monkeypatch)
+        rng = np.random.default_rng(70)
+        duplicated = 0
+        reads = 30
+        for step in range(reads):
+            target = live.ids[int(rng.integers(0, live.n))]
+            for _ in range(3):  # one row, again and again
+                live.update({target: {int(rng.integers(0, 4)): float(rng.integers(0, 6))}})
+            row = rng.integers(0, 6, size=(1, 4)).astype(float)
+            live.insert(row)
+            live.insert(row)  # twin inserts raise the same dominators twice
+            window = np.concatenate(live._events)
+            duplicated += np.unique(window).size < window.size
+            for k, pairs in live.results().items():
+                assert pairs == self._oracle(live.dataset, k), (step, k)
+        assert duplicated == reads  # every read saw repeated changed rows
+        assert 0 < len(selections) < reads  # both paths ran
+
+    def test_more_writes_than_the_event_window(self, monkeypatch):
+        from repro.engine.session import _MAX_PENDING_EVENTS
+
+        engine = QueryEngine(dataset_cache=PreparedDatasetCache())
+        live = engine.continuous(random_dataset(120, seed=71), k=6)
+        live.subscribe(2)
+        live.results()
+        selections = self._count_selections(monkeypatch)
+        rng = np.random.default_rng(71)
+        for step in range(_MAX_PENDING_EVENTS + 5):
+            if step % 3:
+                target = live.ids[int(rng.integers(0, live.n))]
+                live.update({target: {0: float(rng.integers(0, 6))}})
+            else:
+                live.insert(rng.integers(0, 6, size=(1, 4)).astype(float))
+        assert len(live._events) == _MAX_PENDING_EVENTS
+        for k, pairs in live.results().items():
+            assert pairs == self._oracle(live.dataset, k), k
+        assert len(selections) == 1  # the window rolled past the selection
+        for k, pairs in live.results().items():  # no write since: served cached
+            assert pairs == self._oracle(live.dataset, k), k
+        assert len(selections) == 1
+
+    def test_single_k_top_k_path(self, monkeypatch):
+        engine = QueryEngine(dataset_cache=PreparedDatasetCache())
+        live = engine.continuous(random_dataset(100, seed=72), k=3)
+        selections = self._count_selections(monkeypatch)
+        rng = np.random.default_rng(72)
+        reads = 0
+        for step in range(40):
+            roll = step % 5
+            if roll == 0 and live.n > 2:
+                live.delete([live.ids[int(rng.integers(0, live.n))]])
+            elif roll == 1:
+                live.insert(rng.integers(0, 6, size=(1, 4)).astype(float))
+            else:
+                target = live.ids[int(rng.integers(0, live.n))]
+                live.update({target: {int(rng.integers(0, 4)): float(rng.integers(0, 6))}})
+            for k in (1, 7):
+                assert live.top_k(k) == self._oracle(live.dataset, k), (step, k)
+            assert live.top_k() == self._oracle(live.dataset, 3), step
+            result = live.result(5)
+            want = self._oracle(live.dataset, 5)
+            assert list(zip(result.ids, result.scores)) == want, step
+            assert [live.dataset.ids[i] for i in result.indices] == result.ids
+            reads += 4
+        assert 0 < len(selections) < reads
+
+    def test_returned_lists_are_independent(self):
+        engine = QueryEngine(dataset_cache=PreparedDatasetCache())
+        live = engine.continuous(random_dataset(60, seed=73), k=3)
+        live.subscribe(8)
+        first = live.results()
+        first[3].append(("intruder", 99))
+        first[3][0] = ("intruder", 99)
+        assert first[8] == self._oracle(live.dataset, 8)
+        first[8].clear()
+        assert first[3][1:3] == self._oracle(live.dataset, 3)[1:]
+        single = live.top_k(8)
+        single.reverse()
+        again = live.results()
+        assert again == {3: self._oracle(live.dataset, 3), 8: self._oracle(live.dataset, 8)}
+        assert live.top_k(8) == self._oracle(live.dataset, 8)
+
+
 class TestCompactPatches:
     """Patches set or clear one bit per compact table, insert a row for a
     new value and drop the row of a value whose last holder left; the

@@ -39,7 +39,7 @@ from repro.engine.session import (
     QueryEngine,
     parse_memory_budget,
 )
-from repro.engine.store import PersistentStore, SpilledTables
+from repro.engine.store import PersistentStore
 from repro.errors import InvalidParameterError
 
 #: A NaN with unusual payload bits: spill files must round-trip the exact
@@ -93,21 +93,6 @@ class TestSpilledTables:
         np.testing.assert_array_equal(
             attached.foreign_dominated_counts(lo, hi),
             patched.foreign_dominated_counts(lo, hi),
-        )
-
-    def test_meta_round_trip_survives_process_boundary_shape(self, tmp_path):
-        ds = random_dataset(40, seed=4)
-        prepared = PreparedDataset(ds)
-        prepared.warm()
-        store = PersistentStore(tmp_path)
-        spilled = store.put_shard_tables(ds.fingerprint(), prepared)
-        # from_meta is what pool workers use: dict in, attachment out.
-        clone = SpilledTables.from_meta(spilled.meta())
-        assert clone.nbytes == spilled.nbytes
-        lo, hi = _bounds(ds)
-        np.testing.assert_array_equal(
-            clone.prepared().foreign_dominated_counts(lo, hi),
-            prepared.foreign_dominated_counts(lo, hi),
         )
 
     def test_get_shard_tables_misses_are_none(self, tmp_path):

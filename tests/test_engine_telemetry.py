@@ -352,10 +352,10 @@ def test_spilled_partitioned_trace_is_one_connected_tree(make_incomplete):
 
 
 def test_query_many_worker_spans_join_the_batch_trace(make_incomplete):
-    """Every span from every pool worker re-parents into the batch's
-    single trace tree (no orphans, no second root). The batch's planning
-    spans open before the batch span, so the tree is read from the
-    batch's own trace."""
+    """The whole batch exports one tree rooted at ``engine.query_many``:
+    its fingerprint and planning spans open inside the batch span, and
+    every span from every pool worker re-parents into it (no orphans, no
+    second root)."""
     dataset = make_incomplete(300, 3, seed=7)
     telemetry.set_enabled(True)
     engine = QueryEngine()
@@ -365,8 +365,9 @@ def test_query_many_worker_spans_join_the_batch_trace(make_incomplete):
 
     batch = [r for r in spans if r["name"] == "engine.query_many"]
     assert len(batch) == 1
-    spans = [r for r in spans if r["trace"] == batch[0]["trace"]]
     assert _assert_one_connected_tree(spans) is batch[0]
+    assert any(r["name"] == "engine.fingerprint" for r in spans)
+    assert any(r["name"] == "planner.plan" for r in spans)
     # Spans came back from more than one process.
     pids = {r["pid"] for r in spans}
     assert len(pids) >= 2, f"expected worker pids in the trace, got {pids}"
@@ -416,6 +417,33 @@ def test_continuous_insert_is_one_connected_tree(make_incomplete):
     attrs = patch[0]["attrs"]
     assert (attrs["inserts"], attrs["updates"], attrs["deletes"]) == (1, 0, 0)
     assert attrs["rows_touched"] > 0
+
+
+def test_continuous_reads_open_one_span_each(make_incomplete):
+    """Every ``ContinuousQuery`` read is one ``continuous.read`` root that
+    says which k it selected and whether the cached selection served it."""
+    dataset = make_incomplete(300, 4, seed=31)
+    engine = QueryEngine()
+    handle = engine.continuous(dataset, k=3)
+    handle.subscribe(7)
+    telemetry.drain_spans()
+    telemetry.set_enabled(True)
+    try:
+        handle.results()
+        handle.results()
+        handle.top_k(2)
+        handle.result()
+    finally:
+        telemetry.set_enabled(False)
+    spans = telemetry.drain_spans()
+    roots = [r for r in spans if r["parent"] is None]
+    assert [r["name"] for r in roots] == ["continuous.read"] * 4
+    assert [(r["attrs"]["k"], r["attrs"]["cached"]) for r in roots] == [
+        (7, False),
+        (7, True),
+        (2, False),
+        (3, True),  # results() cached the k=3 prefix of its k=7 answer
+    ]
 
 
 def test_engine_writes_open_one_span_each(make_incomplete):

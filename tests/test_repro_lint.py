@@ -465,6 +465,114 @@ def entry_age(entry):
 
 
 # =========================================================================
+# REP010 — public entry points open a span
+# =========================================================================
+
+GOOD_REP010 = '''
+from . import telemetry
+from .telemetry import trace
+
+
+class QueryEngine:
+    def query(self, dataset, k):
+        with telemetry.trace("engine.query") as root:
+            return self._answer(dataset, k, root)
+
+    def query_many(self, requests):
+        if not requests:
+            raise ValueError("empty")
+        with telemetry.trace("engine.query_many"):
+            return [self.query(*r) for r in requests]
+
+    def apply_delta(self, dataset, delta):
+        with self._lock, trace("engine.apply_delta"):
+            return dataset.apply_delta(delta)
+
+    def scores(self, dataset):
+        with telemetry.trace("engine.scores"):
+            return self._scores(dataset)
+
+
+class ContinuousQuery:
+    def insert(self, rows):
+        with telemetry.trace("continuous.insert"):
+            self._apply(rows)
+
+    def delete(self, ids):
+        with telemetry.trace("continuous.delete"):
+            self._apply(ids)
+
+    def update(self, updates):
+        with telemetry.trace("continuous.update"):
+            self._apply(updates)
+
+    def apply(self, delta):
+        with telemetry.trace("continuous.apply"):
+            self._apply(delta)
+
+    def top_k(self, k=None):
+        with telemetry.trace("continuous.read"):
+            return self._rows(k)
+
+    def results(self):
+        with telemetry.trace("continuous.read"):
+            return {}
+
+    def result(self, k=None):
+        with telemetry.trace("continuous.read"):
+            return self._rows(k)
+
+    def subscribe(self, k):  # not an entry point: no span needed
+        return k
+'''
+
+
+def test_rep010_every_configured_entry_point_with_a_span_is_clean():
+    assert lint_source(GOOD_REP010, "src/repro/engine/session.py", selected={"REP010"}) == []
+
+
+def test_rep010_fires_on_an_entry_point_without_a_span():
+    bad = GOOD_REP010.replace(
+        '''        with telemetry.trace("continuous.read"):
+            return {}''',
+        "        return {}",
+    )
+    findings = lint_source(bad, "src/repro/engine/session.py", selected={"REP010"})
+    assert codes(findings) == ["REP010"]
+    assert "ContinuousQuery.results" in findings[0].message
+
+
+def test_rep010_span_in_a_nested_function_does_not_count():
+    bad = GOOD_REP010.replace(
+        '''    def scores(self, dataset):
+        with telemetry.trace("engine.scores"):
+            return self._scores(dataset)''',
+        '''    def scores(self, dataset):
+        def later():
+            with telemetry.trace("engine.scores"):
+                return self._scores(dataset)
+        return later''',
+    )
+    findings = lint_source(bad, "src/repro/engine/session.py", selected={"REP010"})
+    assert codes(findings) == ["REP010"]
+    assert "QueryEngine.scores" in findings[0].message
+
+
+def test_rep010_a_configured_entry_point_that_is_gone_is_reported():
+    bad = GOOD_REP010.replace("    def apply(self, delta):", "    def _apply_renamed(self, delta):")
+    findings = lint_source(bad, "src/repro/engine/session.py", selected={"REP010"})
+    assert codes(findings) == ["REP010"]
+    assert "ContinuousQuery.apply" in findings[0].message and "SPAN_ENTRY_POINTS" in findings[0].message
+
+
+def test_rep010_out_of_scope_outside_engine_layer():
+    bad = GOOD_REP010.replace("telemetry.trace(", "open(").replace(" trace(", " open(")
+    assert len(lint_source(bad, "src/repro/engine/session.py", selected={"REP010"})) == 11
+    assert lint_source(bad, "tests/test_engine_session.py", selected={"REP010"}) == []
+    assert lint_source(bad, "src/repro/cli.py", selected={"REP010"}) == []
+
+
+# =========================================================================
 # REP007 — ctypes↔C prototype checking
 # =========================================================================
 
@@ -647,6 +755,7 @@ def test_cli_list_rules_covers_catalogue():
         "REP006",
         "REP007",
         "REP009",
+        "REP010",
     ]:
         assert code in result.stdout
 

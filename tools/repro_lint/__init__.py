@@ -36,6 +36,9 @@ Rule catalogue (one line each; ``python -m repro_lint --list-rules``):
   (and friends) in the engine layer outside ``engine/telemetry.py``;
   engine timing flows through ``telemetry.clock``/``wall_clock`` so
   spans, metrics and ad-hoc timing all read the same reviewed clocks.
+* **REP010** span entry points — every configured public
+  ``QueryEngine``/``ContinuousQuery`` read or write entry point must open
+  a ``telemetry.trace`` span, so ``--trace`` can explain every call.
 
 Suppressions require a justification::
 

@@ -193,6 +193,22 @@ RAW_CLOCK_ALLOWED_BASENAMES = {"telemetry.py"}
 RAW_CLOCK_PART_NAMES = {"engine"}
 
 # --------------------------------------------------------------------------
+# REP010 — public read and write entry points open a span.
+#
+# ``--trace`` can explain a call only if the call opens a span: a public
+# entry point without one leaves its work unattributed, or scatters its
+# children into separate roots. Each listed method must contain a
+# ``with telemetry.trace(...)`` (or ``with trace(...)``) block.
+SPAN_ENTRY_POINTS: dict[str, frozenset] = {
+    "QueryEngine": frozenset({"query", "query_many", "apply_delta", "scores"}),
+    "ContinuousQuery": frozenset(
+        {"insert", "delete", "update", "apply", "top_k", "results", "result"}
+    ),
+}
+SPAN_OPENERS = frozenset({"trace", "telemetry.trace"})
+SPAN_ENTRY_PART_NAMES = {"engine"}
+
+# --------------------------------------------------------------------------
 # Path scoping helpers (posix-style parts).
 SKIP_DIR_NAMES = {"__pycache__", ".git", ".ruff_cache", ".mypy_cache", "build", "dist"}
 NON_ENGINE_PART_NAMES = {"tests", "benchmarks"}

@@ -1,4 +1,4 @@
-"""Per-file AST checkers: REP001, REP003, REP004, REP005, REP006, REP009.
+"""Per-file AST checkers: REP001, REP003, REP004, REP005, REP006, REP009, REP010.
 
 All checkers are lexical approximations chosen to have near-zero false
 positives on idiomatic engine code; genuinely intentional violations are
@@ -556,4 +556,70 @@ register_rule(
     "REP009",
     "raw time.* clock call in the engine layer outside engine/telemetry.py",
     per_file=check_rep009,
+)
+
+
+# ==========================================================================
+# REP010 — public entry points open a span
+# ==========================================================================
+
+def _opens_span(func: ast.AST) -> bool:
+    """True iff *func*'s own body (not a nested scope) has a ``with trace(...)``."""
+
+    def visit(node) -> bool:
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                expr = item.context_expr
+                if isinstance(expr, ast.Call) and _attr_chain(expr.func) in config.SPAN_OPENERS:
+                    return True
+        if isinstance(node, _SCOPE_NODES):
+            return False
+        return any(visit(child) for child in ast.iter_child_nodes(node))
+
+    return any(visit(stmt) for stmt in func.body)
+
+
+def check_rep010(sf: SourceFile) -> list[Finding]:
+    if not config.is_engine_source(sf.parts):
+        return []
+    if not any(p in config.SPAN_ENTRY_PART_NAMES for p in sf.parts):
+        return []
+    findings: list[Finding] = []
+    for cls in ast.walk(sf.tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in config.SPAN_ENTRY_POINTS:
+            continue
+        wanted = config.SPAN_ENTRY_POINTS[cls.name]
+        methods = {node.name: node for node in cls.body if isinstance(node, _FUNC_NODES)}
+        for name in sorted(wanted - methods.keys()):
+            findings.append(
+                Finding(
+                    "REP010",
+                    f"configured span entry point '{cls.name}.{name}' does not "
+                    "exist: update SPAN_ENTRY_POINTS in repro_lint/config.py",
+                    sf.path,
+                    cls.lineno,
+                    cls.col_offset,
+                )
+            )
+        for name in sorted(wanted & methods.keys()):
+            func = methods[name]
+            if not _opens_span(func):
+                findings.append(
+                    Finding(
+                        "REP010",
+                        f"public entry point '{cls.name}.{name}' opens no span: wrap "
+                        "its body in 'with telemetry.trace(...)' so --trace can "
+                        "attribute the call",
+                        sf.path,
+                        func.lineno,
+                        func.col_offset,
+                    )
+                )
+    return findings
+
+
+register_rule(
+    "REP010",
+    "a configured public QueryEngine/ContinuousQuery entry point opens no telemetry span",
+    per_file=check_rep010,
 )
